@@ -15,10 +15,12 @@ _SUBMODULES = (
     "evaluation",
     "gaussian_prior",
     "manifest",
+    "optim",
     "phantom",
     "pipeline",
     "progression",
     "ssim",
+    "stages",
     "tensorfile",
 )
 

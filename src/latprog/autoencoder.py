@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .optim import rmsprop_step
 from .ssim import ssim3d, ssim3d_with_grad
+from .tensorfile import load_with_meta, save_with_meta
 
 LATENT_CHANNELS = 4
 DOWNSAMPLE = 8
@@ -200,10 +202,6 @@ def encode(model: AEModel, volume: np.ndarray) -> EncodedDistribution:
     )
 
 
-def encode_mean(model: AEModel, volume: np.ndarray) -> np.ndarray:
-    return encode(model, volume).mean
-
-
 def decode(model: AEModel, latent: np.ndarray) -> np.ndarray:
     """Decode a latent grid to a volume."""
     if tuple(latent.shape) != model.latent_shape:
@@ -349,7 +347,6 @@ def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
     n_lat = model.n_latent
     rng = np.random.default_rng(config.seed)
     v_state = {k: np.zeros_like(p) for k, p in model.params.items()}
-    decay = config.rmsprop_decay
 
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -366,9 +363,8 @@ def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
             terms, grads = loss_and_grads(model, batch, eps)
             if not np.isfinite(terms.total):
                 raise RuntimeError("training diverged: non-finite loss")
-            for k, g in grads.items():
-                v_state[k] = decay * v_state[k] + (1.0 - decay) * g * g
-                model.params[k] -= config.learning_rate * g / (np.sqrt(v_state[k]) + 1e-8)
+            rmsprop_step(model.params, grads, v_state, config.learning_rate,
+                         config.rmsprop_decay)
             epoch_total += terms.total
             n_batches += 1
         model.loss_curve.append(epoch_total / n_batches)
@@ -381,29 +377,17 @@ def reconstruct(model: AEModel, volume: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: AEModel, tensor_path, meta_path) -> None:
-    import json
-    from pathlib import Path
-
-    from .tensorfile import write_tensors
-
-    write_tensors(tensor_path, model.params)
     meta = {
         "config": asdict(model.config),
         "input_shape": list(model.input_shape),
         "latent_shape": list(model.latent_shape),
         "loss_curve": model.loss_curve,
     }
-    Path(meta_path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    save_with_meta(tensor_path, meta_path, model.params, meta)
 
 
 def load_model(tensor_path, meta_path) -> AEModel:
-    import json
-    from pathlib import Path
-
-    from .tensorfile import read_tensors
-
-    meta = json.loads(Path(meta_path).read_text())
-    params = {k: v.astype(np.float64) for k, v in read_tensors(tensor_path).items()}
+    params, meta = load_with_meta(tensor_path, meta_path)
     return AEModel(
         config=AEConfig(**meta["config"]),
         input_shape=tuple(meta["input_shape"]),

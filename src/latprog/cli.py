@@ -12,18 +12,7 @@ import logging
 import os
 import sys
 
-_STAGES = (
-    "generate-cohort",
-    "train-ae",
-    "encode",
-    "fit-betas",
-    "fit-global-prior",
-    "fit-gaussian-prior",
-    "fit-diffusion-prior",
-    "predict",
-    "evaluate",
-    "analyze-beta",
-)
+from .stages import STAGES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Latent progression modeling pipeline on synthetic cohorts.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="stage")
-    for stage in _STAGES:
+    for stage in STAGES:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         p.add_argument("--config", help="JSON run configuration (defaults if omitted)")
         p.add_argument("--seed", type=int, help="override the master seed")

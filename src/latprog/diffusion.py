@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .gaussian_prior import normalize_age
+from .optim import rmsprop_step
 from .progression import TrainingTriplet
+from .tensorfile import load_with_meta, save_with_meta
 
 _SCALE_FLOOR = 1e-4
 
@@ -211,13 +213,6 @@ def loss_and_grads(
     return loss, grads
 
 
-def _apply_step(denoiser: DiffusionDenoiser, grads: dict[str, np.ndarray]) -> None:
-    cfg = denoiser.config
-    for k, g in grads.items():
-        denoiser.opt_state[k] = cfg.rmsprop_decay * denoiser.opt_state[k] + (1.0 - cfg.rmsprop_decay) * g * g
-        denoiser.params[k] -= cfg.learning_rate * g / (np.sqrt(denoiser.opt_state[k]) + 1e-8)
-
-
 def ema_update(denoiser: DiffusionDenoiser) -> None:
     d = denoiser.config.ema_decay
     for k, v in denoiser.params.items():
@@ -264,7 +259,9 @@ def diffusion_train_step(
         )
         if not np.isfinite(loss):
             raise RuntimeError("training diverged: non-finite loss")
-        _apply_step(denoiser, grads)
+        cfg = denoiser.config
+        rmsprop_step(denoiser.params, grads, denoiser.opt_state, cfg.learning_rate,
+                     cfg.rmsprop_decay)
         ema_update(denoiser)
         return loss
     target = np.asarray(target_beta, dtype=np.float64)
@@ -307,7 +304,8 @@ def train_diffusion_prior(
             loss, grads = loss_and_grads(denoiser, noised, latents[idx], ages[idx], t, eps)
             if not np.isfinite(loss):
                 raise RuntimeError("training diverged: non-finite loss")
-            _apply_step(denoiser, grads)
+            rmsprop_step(denoiser.params, grads, denoiser.opt_state, config.learning_rate,
+                         config.rmsprop_decay)
             ema_update(denoiser)
             epoch_loss += loss
             n_batches += 1
@@ -375,16 +373,10 @@ def sample_beta_averaged(
 
 
 def save_denoiser(denoiser: DiffusionDenoiser, tensor_path, meta_path) -> None:
-    import json
-    from pathlib import Path
-
-    from .tensorfile import write_tensors
-
     named = {f"param/{k}": v for k, v in denoiser.params.items()}
     named.update({f"ema/{k}": v for k, v in denoiser.ema_params.items()})
     named["target_shift"] = denoiser.target_shift
     named["target_scale"] = denoiser.target_scale
-    write_tensors(tensor_path, named)
     meta = {
         "config": asdict(denoiser.config),
         "latent_shape": list(denoiser.latent_shape),
@@ -392,17 +384,11 @@ def save_denoiser(denoiser: DiffusionDenoiser, tensor_path, meta_path) -> None:
         "timesteps": denoiser.timesteps,
         "loss_curve": denoiser.loss_curve,
     }
-    Path(meta_path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    save_with_meta(tensor_path, meta_path, named, meta)
 
 
 def load_denoiser(tensor_path, meta_path) -> DiffusionDenoiser:
-    import json
-    from pathlib import Path
-
-    from .tensorfile import read_tensors
-
-    meta = json.loads(Path(meta_path).read_text())
-    named = {k: v.astype(np.float64) for k, v in read_tensors(tensor_path).items()}
+    named, meta = load_with_meta(tensor_path, meta_path)
     params = {k[len("param/"):]: v for k, v in named.items() if k.startswith("param/")}
     ema = {k[len("ema/"):]: v for k, v in named.items() if k.startswith("ema/")}
     return DiffusionDenoiser(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phantom
-from .autoencoder import AEModel, decode, encode
+from .autoencoder import AEModel, _fix_signs, decode, encode
 from .progression import (
     GaussianBelief,
     ObservationNoise,
@@ -102,15 +102,6 @@ def generalized_dice(a: np.ndarray, b: np.ndarray) -> float:
         num += w * 2.0 * int(np.logical_and(in_a, in_b).sum())
         den += w * (n_a + n_b)
     return num / den
-
-
-def _fix_signs(rows: np.ndarray) -> np.ndarray:
-    out = rows.copy()
-    for i, row in enumerate(out):
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
-        if nz.size and row[nz[0]] < 0:
-            out[i] = -row
-    return out
 
 
 @dataclass
@@ -241,6 +232,37 @@ def beta_norm_analysis(
     )
 
 
+def score_forecasts(
+    spec: phantom.PhantomSpec, subject: phantom.SubjectRecord, target_idx: int, forecasts
+) -> list[MetricsRow]:
+    """One row per forecast of a subject's scan, scored against that scan.
+
+    ``forecasts`` yields (source, n_conditioning_scans, volume) triples.
+    """
+    ages = subject.ages()
+    actual_vol = subject.scans[target_idx].volume
+    seg_actual = phantom.segment_oracle(spec, subject.rate_multipliers, ages[target_idx])
+    vols_actual = region_volumes(seg_actual, spec)
+    first_seg = phantom.segment_oracle(spec, subject.rate_multipliers, ages[0])
+    tbv_first = region_volumes(first_seg, spec).tbv
+    rows = []
+    for source, n, pred_vol in forecasts:
+        seg_pred = phantom.segment_by_intensity(pred_vol, spec)
+        mae_ids = mae_tbv(region_volumes(seg_pred, spec), vols_actual, tbv_first)
+        rows.append(
+            MetricsRow(
+                subject_id=subject.subject_id,
+                source=source,
+                n_conditioning_scans=n,
+                target_age=float(ages[target_idx]),
+                mae={spec.region_by_id(rid).name: val for rid, val in mae_ids.items()},
+                ssim=float(ssim3d(actual_vol, pred_vol)),
+                dice=float(generalized_dice(seg_actual, seg_pred)),
+            )
+        )
+    return rows
+
+
 def _nearest_scan(subject: phantom.SubjectRecord, target_age: float,
                   candidates: list[int]) -> int:
     ages = subject.ages()
@@ -294,8 +316,6 @@ def multiscan_curve(
         }
         z_anchor = latent[anchor_idx]
         a_anchor = ages[anchor_idx]
-        first_seg = phantom.segment_oracle(spec, subject.rate_multipliers, first_age)
-        tbv_first = region_volumes(first_seg, spec).tbv
 
         betas: list[tuple[str, int, np.ndarray]] = [
             ("global_prior", 0, global_prior.mean.copy())
@@ -310,29 +330,11 @@ def multiscan_curve(
             betas.append(("regression", len(cond), beta))
 
         for target in targets:
-            actual_vol = subject.scans[target].volume
             target_age = ages[target]
-            seg_actual = phantom.segment_oracle(spec, subject.rate_multipliers, target_age)
-            vols_actual = region_volumes(seg_actual, spec)
-            for source, n, beta in betas:
-                pred_vol = decode(model, extrapolate(z_anchor, a_anchor, beta, target_age))
-                seg_pred = phantom.segment_by_intensity(pred_vol, spec)
-                vols_pred = region_volumes(seg_pred, spec)
-                mae_ids = mae_tbv(vols_pred, vols_actual, tbv_first)
-                rows.append(
-                    MetricsRow(
-                        subject_id=subject.subject_id,
-                        source=source,
-                        n_conditioning_scans=n,
-                        target_age=float(target_age),
-                        mae={
-                            spec.region_by_id(rid).name: val
-                            for rid, val in mae_ids.items()
-                        },
-                        ssim=float(ssim3d(actual_vol, pred_vol)),
-                        dice=float(generalized_dice(seg_actual, seg_pred)),
-                    )
-                )
+            rows += score_forecasts(spec, subject, target, (
+                (source, n, decode(model, extrapolate(z_anchor, a_anchor, beta, target_age)))
+                for source, n, beta in betas
+            ))
     if n_eligible == 0:
         raise ValueError("no eligible subjects (need scans spanning the protocol years)")
     return rows, summarize_rows(rows)
@@ -361,24 +363,24 @@ def summarize_rows(rows: list[MetricsRow]) -> dict:
     return summary
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """RFC 4180 CSV (CRLF line endings) with a header row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, dialect="excel")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_metrics_csv(rows: list[MetricsRow], path, region_names: list[str]) -> None:
-    """RFC 4180 CSV, one row per (subject, source, n, target age)."""
+    """One CSV row per (subject, source, n, target age)."""
     header = (
         ["subject_id", "source", "n_conditioning_scans", "target_age"]
         + [f"mae_{name}" for name in region_names]
         + ["ssim", "dice"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, dialect="excel")  # CRLF line endings
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.subject_id,
-                    row.source,
-                    row.n_conditioning_scans,
-                    format(row.target_age, ".10g"),
-                ]
-                + [format(row.mae[name], ".10g") for name in region_names]
-                + [format(row.ssim, ".10g"), format(row.dice, ".10g")]
-            )
+    write_csv(path, header, (
+        [row.subject_id, row.source, row.n_conditioning_scans, format(row.target_age, ".10g")]
+        + [format(row.mae[name], ".10g") for name in region_names]
+        + [format(row.ssim, ".10g"), format(row.dice, ".10g")]
+        for row in rows
+    ))

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .optim import rmsprop_step
 from .progression import VARIANCE_FLOOR, GaussianBelief, TrainingTriplet
+from .tensorfile import load_with_meta, save_with_meta
 
 AGE_CENTER = 70.0
 AGE_SCALE = 15.0
@@ -159,9 +161,7 @@ def train_gaussian_prior(
             loss, grads = loss_and_grads(net, latents[idx], ages[idx], beta_flat[idx])
             if not np.isfinite(loss):
                 raise RuntimeError("training diverged: non-finite loss")
-            for k, g in grads.items():
-                v_state[k] = config.rmsprop_decay * v_state[k] + (1.0 - config.rmsprop_decay) * g * g
-                net.params[k] -= config.learning_rate * g / (np.sqrt(v_state[k]) + 1e-8)
+            rmsprop_step(net.params, grads, v_state, config.learning_rate, config.rmsprop_decay)
             epoch_loss += loss
             n_batches += 1
         net.loss_curve.append(epoch_loss / n_batches)
@@ -183,32 +183,21 @@ def predict_gaussian_prior(net: GaussianPriorNet, latent, age: float) -> Gaussia
 
 
 def save_gaussian_prior(net: GaussianPriorNet, tensor_path, meta_path) -> None:
-    import json
-    from pathlib import Path
-
-    from .tensorfile import write_tensors
-
-    write_tensors(tensor_path, net.params)
     meta = {
         "config": asdict(net.config),
         "latent_shape": list(net.latent_shape),
         "beta_shape": list(net.beta_shape),
         "loss_curve": net.loss_curve,
     }
-    Path(meta_path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    save_with_meta(tensor_path, meta_path, net.params, meta)
 
 
 def load_gaussian_prior(tensor_path, meta_path) -> GaussianPriorNet:
-    import json
-    from pathlib import Path
-
-    from .tensorfile import read_tensors
-
-    meta = json.loads(Path(meta_path).read_text())
+    params, meta = load_with_meta(tensor_path, meta_path)
     return GaussianPriorNet(
         config=GaussianPriorConfig(**meta["config"]),
         latent_shape=tuple(meta["latent_shape"]),
         beta_shape=tuple(meta["beta_shape"]),
-        params={k: v.astype(np.float64) for k, v in read_tensors(tensor_path).items()},
+        params=params,
         loss_curve=list(meta["loss_curve"]),
     )

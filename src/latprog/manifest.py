@@ -13,11 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
-from .tensorfile import read_tensor, write_tensor
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+from .tensorfile import canonical_json, read_tensor, write_tensor
 
 
 def geometry_to_dict(geom) -> dict:

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,33 +21,22 @@ from .autoencoder import decode, encode, load_model, save_model, train_autoencod
 from .config import SEED_OFFSETS, RunConfig
 from .diffusion import NoiseSchedule, load_denoiser, save_denoiser, train_diffusion_prior
 from .errors import MissingDependencyError
-from .evaluation import MetricsRow, write_metrics_csv
+from .evaluation import write_csv, write_metrics_csv
 from .gaussian_prior import load_gaussian_prior, save_gaussian_prior, train_gaussian_prior
-from .manifest import canonical_json, load_cohort, save_cohort
+from .manifest import load_cohort, save_cohort
 from .progression import (
     GaussianBelief,
     LatentSequence,
     ObservationNoise,
     TrainingTriplet,
+    build_global_prior,
     compute_beta,
     estimate_obs_noise,
     extrapolate,
     resolve_beta,
 )
-from .tensorfile import read_tensor, read_tensors, write_tensors
-
-STAGES = (
-    "generate-cohort",
-    "train-ae",
-    "encode",
-    "fit-betas",
-    "fit-global-prior",
-    "fit-gaussian-prior",
-    "fit-diffusion-prior",
-    "predict",
-    "evaluate",
-    "analyze-beta",
-)
+from .stages import GLOBAL_PRIOR_SOURCES, PREDICTIONS, STAGES, producer
+from .tensorfile import canonical_json, read_tensor, read_tensors, write_tensor, write_tensors
 
 
 class OutputLock:
@@ -83,14 +71,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _require(out: Path, rel: str, stage: str) -> Path:
-    path = out / rel
-    if not path.exists():
-        raise MissingDependencyError(stage)
-    return path
-
-
-def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, Path],
+def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, str],
                   outputs: list[str], wall_time: float) -> None:
     runs = out / "runs"
     runs.mkdir(parents=True, exist_ok=True)
@@ -100,16 +81,20 @@ def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, Path]
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "wall_time_s": round(wall_time, 3),
-        "inputs": {rel: _sha256(p) for rel, p in sorted(inputs.items())},
-        "outputs": sorted(outputs),
+        "inputs": inputs,
+        "outputs": outputs,
     }
     (runs / f"{stage}.json").write_text(canonical_json(record))
 
 
 # ---------------------------------------------------------------- stages
+#
+# Each stage reads the inputs the stage table declares for it and writes at
+# least the outputs declared there, whose directories exist when it starts;
+# it returns any further files it wrote.
 
 
-def stage_generate_cohort(cfg: RunConfig, out: Path) -> list[str]:
+def stage_generate_cohort(cfg: RunConfig, out: Path) -> None:
     cp = cfg.cohort
     spec = phantom.default_spec(grid_size=cp.grid_size, noise_sigma=cp.noise_sigma)
     cohort = phantom.generate_cohort(
@@ -124,20 +109,19 @@ def stage_generate_cohort(cfg: RunConfig, out: Path) -> list[str]:
     )
     cohort_id = f"cohort-{cp.n_subjects}x{cp.grid_size}-seed{cfg.seed}"
     save_cohort(cohort, out / "cohort", cohort_id)
-    return ["cohort/manifest.json"]
 
 
-def stage_train_ae(cfg: RunConfig, out: Path) -> list[str]:
-    _require(out, "cohort/manifest.json", "generate-cohort")
+def stage_train_ae(cfg: RunConfig, out: Path) -> None:
     cohort = load_cohort(out / "cohort")
     model = train_autoencoder(cohort.split("train").volumes(), cfg.autoencoder)
-    (out / "ae").mkdir(parents=True, exist_ok=True)
     save_model(model, out / "ae" / "model.mrxt", out / "ae" / "model.json")
-    return ["ae/model.mrxt", "ae/model.json"]
 
 
-def _load_latents(out: Path, stage_needed: str = "encode"):
-    _require(out, "latents/latents.mrxt", stage_needed)
+def _load_model(out: Path):
+    return load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+
+
+def _load_latents(out: Path):
     tensors = read_tensors(out / "latents" / "latents.mrxt")
     meta = json.loads((out / "latents" / "latents.json").read_text())
     return tensors, meta
@@ -157,10 +141,8 @@ def _sequences_from_latents(tensors, meta, split=None) -> list[LatentSequence]:
     return sequences
 
 
-def stage_encode(cfg: RunConfig, out: Path) -> list[str]:
-    _require(out, "ae/model.mrxt", "train-ae")
-    _require(out, "cohort/manifest.json", "generate-cohort")
-    model = load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+def stage_encode(cfg: RunConfig, out: Path) -> None:
+    model = _load_model(out)
     cohort = load_cohort(out / "cohort")
     named: dict[str, np.ndarray] = {}
     subjects_meta = {}
@@ -172,14 +154,12 @@ def stage_encode(cfg: RunConfig, out: Path) -> list[str]:
             "diagnosis": subject.diagnosis,
             "ages": list(subject.ages()),
         }
-    (out / "latents").mkdir(parents=True, exist_ok=True)
     write_tensors(out / "latents" / "latents.mrxt", named)
     meta = {"latent_shape": list(model.latent_shape), "subjects": subjects_meta}
     (out / "latents" / "latents.json").write_text(canonical_json(meta))
-    return ["latents/latents.mrxt", "latents/latents.json"]
 
 
-def stage_fit_betas(cfg: RunConfig, out: Path) -> list[str]:
+def stage_fit_betas(cfg: RunConfig, out: Path) -> None:
     tensors, meta = _load_latents(out)
     betas: dict[str, np.ndarray] = {}
     info_out = {}
@@ -196,15 +176,12 @@ def stage_fit_betas(cfg: RunConfig, out: Path) -> list[str]:
         }
     if not betas:
         raise ValueError("no subject has two or more scans")
-    (out / "betas").mkdir(parents=True, exist_ok=True)
     write_tensors(out / "betas" / "betas.mrxt", betas)
     (out / "betas" / "betas.json").write_text(canonical_json(info_out))
-    return ["betas/betas.mrxt", "betas/betas.json"]
 
 
 def _load_triplets(out: Path, split: str = "train"):
     """Triplets and sequences assembled from the stored artifacts."""
-    _require(out, "betas/betas.mrxt", "fit-betas")
     tensors, meta = _load_latents(out)
     beta_tensors = read_tensors(out / "betas" / "betas.mrxt")
     sequences = [
@@ -223,82 +200,53 @@ def _load_triplets(out: Path, split: str = "train"):
     return triplets, sequences
 
 
-def stage_fit_global_prior(cfg: RunConfig, out: Path) -> list[str]:
+def stage_fit_global_prior(cfg: RunConfig, out: Path) -> None:
     triplets, sequences = _load_triplets(out)
-    if len(triplets) < 2:
-        raise ValueError("need at least two training triplets")
-    betas = np.stack([t.beta for t in triplets])
-    prior = GaussianBelief(mean=betas.mean(axis=0), variance=betas.var(axis=0))
+    prior = build_global_prior(triplets)
     noise = estimate_obs_noise(triplets, sequences)
-    (out / "priors").mkdir(parents=True, exist_ok=True)
-    write_tensors(
-        out / "priors" / "global.mrxt", {"mean": prior.mean, "variance": prior.variance}
-    )
-    (out / "priors" / "global.json").write_text(
-        canonical_json(
-            {
-                "n_triplets": len(triplets),
-                "n_subjects": len(sequences),
-                "split": "train",
-            }
-        )
-    )
+    write_tensors(out / "priors" / "global.mrxt", {"mean": prior.mean, "variance": prior.variance})
+    (out / "priors" / "global.json").write_text(canonical_json(
+        {"n_triplets": len(triplets), "n_subjects": len(sequences), "split": "train"}
+    ))
     write_tensors(out / "priors" / "obs_noise.mrxt", {"variance": noise.variance})
     (out / "priors" / "obs_noise.json").write_text(
         canonical_json({"n_subjects": len(sequences), "split": "train"})
     )
-    return [
-        "priors/global.mrxt",
-        "priors/global.json",
-        "priors/obs_noise.mrxt",
-        "priors/obs_noise.json",
-    ]
 
 
-def stage_fit_gaussian_prior(cfg: RunConfig, out: Path) -> list[str]:
+def stage_fit_gaussian_prior(cfg: RunConfig, out: Path) -> None:
     triplets, _ = _load_triplets(out)
     net = train_gaussian_prior(triplets, cfg.gaussian_prior)
-    (out / "priors").mkdir(parents=True, exist_ok=True)
     save_gaussian_prior(
         net, out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
     )
-    return ["priors/gaussian_net.mrxt", "priors/gaussian_net.json"]
 
 
-def stage_fit_diffusion_prior(cfg: RunConfig, out: Path) -> list[str]:
+def stage_fit_diffusion_prior(cfg: RunConfig, out: Path) -> None:
     triplets, _ = _load_triplets(out)
     schedule = NoiseSchedule.linear(
         cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end
     )
     denoiser = train_diffusion_prior(triplets, schedule, cfg.diffusion)
-    (out / "priors").mkdir(parents=True, exist_ok=True)
     save_denoiser(
         denoiser, out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
     )
-    return ["priors/diffusion.mrxt", "priors/diffusion.json"]
 
 
-def _load_beliefs(out: Path, sources: tuple[str, ...], cfg: RunConfig) -> dict:
+def _load_beliefs(out: Path, sources, cfg: RunConfig) -> dict:
     """Belief-source keyword arguments for resolve_beta, per configured sources."""
     kwargs: dict = {}
-    if "global_prior" in sources or "posterior" in sources:
-        _require(out, "priors/global.mrxt", "fit-global-prior")
-        tensors = read_tensors(out / "priors" / "global.mrxt")
-        kwargs["global_prior"] = GaussianBelief(
-            mean=tensors["mean"].astype(np.float64),
-            variance=tensors["variance"].astype(np.float64),
-        )
+    if set(GLOBAL_PRIOR_SOURCES) & set(sources):
+        kwargs["global_prior"] = GaussianBelief(**read_tensors(out / "priors" / "global.mrxt"))
         noise = read_tensors(out / "priors" / "obs_noise.mrxt")
         kwargs["obs_noise"] = ObservationNoise(
             variance=noise["variance"].astype(np.float64)
         )
     if "gaussian_net" in sources:
-        _require(out, "priors/gaussian_net.mrxt", "fit-gaussian-prior")
         kwargs["gaussian_net"] = load_gaussian_prior(
             out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
         )
     if "diffusion" in sources:
-        _require(out, "priors/diffusion.mrxt", "fit-diffusion-prior")
         kwargs["denoiser"] = load_denoiser(
             out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
         )
@@ -309,111 +257,80 @@ def _load_beliefs(out: Path, sources: tuple[str, ...], cfg: RunConfig) -> dict:
     return kwargs
 
 
-def _test_prediction_cases(tensors, meta):
-    """(subject_id, conditioning (latent, age) list, target age) per test subject."""
-    cases = []
-    for seq in _sequences_from_latents(tensors, meta, split="test"):
-        if len(seq.ages) < 2:
-            continue
-        scans = [(seq.latents[i], float(seq.ages[i])) for i in range(len(seq.ages))]
-        cases.append((seq.subject_id, scans[:-1], scans[-1][1]))
-    return cases
+def _forecast_sources(sources, n_conditioning: int) -> list[str]:
+    """The configured sources, in order, that forecast a case; regression needs two scans."""
+    return [s for s in sources if s != "regression" or n_conditioning >= 2]
 
 
 def stage_predict(cfg: RunConfig, out: Path) -> list[str]:
-    _require(out, "ae/model.mrxt", "train-ae")
-    model = load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+    """Decode one forecast volume per (test subject, source).
+
+    Each test subject with two or more scans is conditioned on all but its
+    last scan and forecast at the last scan's age.
+    """
+    model = _load_model(out)
     tensors, meta = _load_latents(out)
     sources = cfg.evaluation.predict_sources
     beliefs = _load_beliefs(out, sources, cfg)
     sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
-    outputs = []
+    seqs = [s for s in _sequences_from_latents(tensors, meta, split="test") if len(s.ages) >= 2]
+    volumes = []
     index = {}
-    for case_idx, (sid, cond, target_age) in enumerate(_test_prediction_cases(tensors, meta)):
+    for case_idx, seq in enumerate(seqs):
+        cond = [(seq.latents[i], float(seq.ages[i])) for i in range(len(seq.ages) - 1)]
+        target_age = float(seq.ages[-1])
         entry = {"target_age": target_age, "conditioning_ages": [a for _, a in cond],
                  "sources": {}}
-        for source in sources:
-            if source == "regression" and len(cond) < 2:
-                continue
+        for source in _forecast_sources(sources, len(cond)):
             kw = dict(beliefs)
             if source == "diffusion":
                 kw["seed"] = sampling_seed + case_idx
             beta = resolve_beta(cond, source, **kw)
             z_star = extrapolate(cond[-1][0], cond[-1][1], beta, target_age)
-            rel = f"predictions/{source}/{sid}.mrxt"
+            rel = f"predictions/{source}/{seq.subject_id}.mrxt"
             (out / "predictions" / source).mkdir(parents=True, exist_ok=True)
-            from .tensorfile import write_tensor
-
             write_tensor(out / rel, decode(model, z_star))
             entry["sources"][source] = rel
-            outputs.append(rel)
-        index[sid] = entry
-    (out / "predictions").mkdir(parents=True, exist_ok=True)
-    (out / "predictions" / "predictions.json").write_text(canonical_json(index))
-    outputs.append("predictions/predictions.json")
-    return outputs
+            volumes.append(rel)
+        index[seq.subject_id] = entry
+    (out / PREDICTIONS).write_text(canonical_json(index))
+    return volumes
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
-    _require(out, "ae/model.mrxt", "train-ae")
-    _require(out, "cohort/manifest.json", "generate-cohort")
-    model = load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+    """Score predict's forecast volumes and write the latent diagnostics."""
+    model = _load_model(out)
     cohort = load_cohort(out / "cohort")
     spec = cohort.spec
     tensors, meta = _load_latents(out)
+    index = json.loads((out / PREDICTIONS).read_text())
     sources = cfg.evaluation.predict_sources
-    beliefs = _load_beliefs(out, sources, cfg)
-    sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
     subjects = {s.subject_id: s for s in cohort.subjects}
     region_names = [r.name for r in spec.regions]
-    (out / "metrics").mkdir(parents=True, exist_ok=True)
 
-    rows: list[MetricsRow] = []
-    from .ssim import ssim3d
-
-    for case_idx, (sid, cond, target_age) in enumerate(_test_prediction_cases(tensors, meta)):
+    rows = []
+    for sid, case in index.items():
         subject = subjects[sid]
-        target_idx = int(np.argmin(np.abs(np.array(subject.ages()) - target_age)))
-        actual_vol = subject.scans[target_idx].volume
-        seg_actual = phantom.segment_oracle(spec, subject.rate_multipliers, target_age)
-        vols_actual = evaluation.region_volumes(seg_actual, spec)
-        first_seg = phantom.segment_oracle(
-            spec, subject.rate_multipliers, subject.ages()[0]
-        )
-        tbv_first = evaluation.region_volumes(first_seg, spec).tbv
-        for source in sources:
-            if source == "regression" and len(cond) < 2:
-                continue
-            kw = dict(beliefs)
-            if source == "diffusion":
-                kw["seed"] = sampling_seed + case_idx
-            beta = resolve_beta(cond, source, **kw)
-            z_star = extrapolate(cond[-1][0], cond[-1][1], beta, target_age)
-            pred_vol = decode(model, z_star)
-            seg_pred = phantom.segment_by_intensity(pred_vol, spec)
-            vols_pred = evaluation.region_volumes(seg_pred, spec)
-            mae_ids = evaluation.mae_tbv(vols_pred, vols_actual, tbv_first)
-            rows.append(
-                MetricsRow(
-                    subject_id=sid,
-                    source=source,
-                    n_conditioning_scans=len(cond),
-                    target_age=target_age,
-                    mae={spec.region_by_id(r).name: v for r, v in mae_ids.items()},
-                    ssim=float(ssim3d(actual_vol, pred_vol)),
-                    dice=float(evaluation.generalized_dice(seg_actual, seg_pred)),
+        n_cond = len(case["conditioning_ages"])
+        target_idx = int(np.argmin(np.abs(np.array(subject.ages()) - case["target_age"])))
+        forecasts = []
+        for source in _forecast_sources(sources, n_cond):
+            if source not in case["sources"]:
+                raise MissingDependencyError(
+                    producer(PREDICTIONS), f"no {source} forecast for {sid}"
                 )
-            )
+            forecasts.append((source, n_cond, read_tensor(out / case["sources"][source])))
+        rows += evaluation.score_forecasts(spec, subject, target_idx, forecasts)
     write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
     summary: dict = {"holdout": evaluation.summarize_rows(rows)}
-    outputs = ["metrics/rows.csv", "metrics/summary.json"]
+    outputs = []
 
-    if "global_prior" in beliefs:
-        test_cohort = cohort.split("test")
+    beliefs = _load_beliefs(out, [s for s in sources if s in GLOBAL_PRIOR_SOURCES], cfg)
+    if beliefs:
         try:
             ms_rows, ms_summary = evaluation.multiscan_curve(
                 model,
-                test_cohort,
+                cohort.split("test"),
                 beliefs["global_prior"],
                 beliefs["obs_noise"],
                 anchor_year=cfg.evaluation.anchor_year,
@@ -427,24 +344,21 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         except ValueError:
             summary["multiscan"] = "skipped: no eligible subjects"
 
-    interp_case = next(iter(_test_prediction_cases(tensors, meta)), None)
-    if interp_case is not None:
-        sid, cond, target_age = interp_case
-        seq_lat = [tensors[f"{sid}/{i}"].astype(np.float64)
-                   for i in range(len(meta["subjects"][sid]["ages"]))]
+    if index:
+        sid = next(iter(index))
+        last = len(meta["subjects"][sid]["ages"]) - 1
         report = evaluation.interpolation_linearity(
-            model, seq_lat[-1], seq_lat[0], spec, cfg.evaluation.n_alphas
+            model, tensors[f"{sid}/{last}"], tensors[f"{sid}/0"], spec, cfg.evaluation.n_alphas
         )
-        import csv as _csv
-
-        with open(out / "metrics" / "interpolation.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh, dialect="excel")
-            writer.writerow(["alpha", "region", "count"])
-            for name in region_names:
-                for alpha, count in zip(report.alphas, report.counts[name]):
-                    writer.writerow(
-                        [format(alpha, ".10g"), name, format(count, ".10g")]
-                    )
+        write_csv(
+            out / "metrics" / "interpolation.csv",
+            ["alpha", "region", "count"],
+            (
+                [format(alpha, ".10g"), name, format(count, ".10g")]
+                for name in region_names
+                for alpha, count in zip(report.alphas, report.counts[name])
+            ),
+        )
         summary["interpolation"] = {
             "subject_id": sid,
             "r2": report.r2,
@@ -459,13 +373,11 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
                 list(seq.latents)
             )
     if collinearity:
-        import csv as _csv
-
-        with open(out / "metrics" / "collinearity.csv", "w", newline="") as fh:
-            writer = _csv.writer(fh, dialect="excel")
-            writer.writerow(["subject_id", "first_pc_ratio"])
-            for sid in sorted(collinearity):
-                writer.writerow([sid, format(collinearity[sid], ".10g")])
+        write_csv(
+            out / "metrics" / "collinearity.csv",
+            ["subject_id", "first_pc_ratio"],
+            ([sid, format(collinearity[sid], ".10g")] for sid in sorted(collinearity)),
+        )
         summary["collinearity"] = {
             "mean": float(np.mean(list(collinearity.values()))),
             "min": float(np.min(list(collinearity.values()))),
@@ -477,78 +389,48 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     return outputs
 
 
-def stage_analyze_beta(cfg: RunConfig, out: Path) -> list[str]:
-    _require(out, "betas/betas.mrxt", "fit-betas")
+def stage_analyze_beta(cfg: RunConfig, out: Path) -> None:
     beta_tensors = read_tensors(out / "betas" / "betas.mrxt")
     info = json.loads((out / "betas" / "betas.json").read_text())
     entries = [
-        (
-            beta_tensors[sid].astype(np.float64),
-            info[sid]["diagnosis"],
-            info[sid]["first_age"],
-        )
+        (beta_tensors[sid], info[sid]["diagnosis"], info[sid]["first_age"])
         for sid in sorted(beta_tensors)
     ]
     table = evaluation.beta_norm_analysis(
         entries, bin_width=cfg.evaluation.bin_width, bin_start=cfg.evaluation.bin_start
     )
-    (out / "analysis").mkdir(parents=True, exist_ok=True)
-    import csv as _csv
-
-    with open(out / "analysis" / "beta_norms.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh, dialect="excel")
-        writer.writerow(["diagnosis", "age_bin", "mean_l1", "count", "se"])
-        for diag in sorted(table.overall):
-            cell = table.overall[diag]
-            writer.writerow(
-                [diag, "all", format(cell.mean, ".10g"), cell.count, format(cell.se, ".10g")]
-            )
-        for (diag, label) in sorted(table.cells):
-            cell = table.cells[(diag, label)]
-            writer.writerow(
-                [diag, label, format(cell.mean, ".10g"), cell.count, format(cell.se, ".10g")]
-            )
-    return ["analysis/beta_norms.csv"]
-
-
-_STAGE_FUNCS = {
-    "generate-cohort": stage_generate_cohort,
-    "train-ae": stage_train_ae,
-    "encode": stage_encode,
-    "fit-betas": stage_fit_betas,
-    "fit-global-prior": stage_fit_global_prior,
-    "fit-gaussian-prior": stage_fit_gaussian_prior,
-    "fit-diffusion-prior": stage_fit_diffusion_prior,
-    "predict": stage_predict,
-    "evaluate": stage_evaluate,
-    "analyze-beta": stage_analyze_beta,
-}
-
-_STAGE_INPUTS = {
-    "generate-cohort": [],
-    "train-ae": ["cohort/manifest.json"],
-    "encode": ["cohort/manifest.json", "ae/model.mrxt"],
-    "fit-betas": ["latents/latents.mrxt"],
-    "fit-global-prior": ["latents/latents.mrxt", "betas/betas.mrxt"],
-    "fit-gaussian-prior": ["latents/latents.mrxt", "betas/betas.mrxt"],
-    "fit-diffusion-prior": ["latents/latents.mrxt", "betas/betas.mrxt"],
-    "predict": ["ae/model.mrxt", "latents/latents.mrxt"],
-    "evaluate": ["ae/model.mrxt", "cohort/manifest.json", "latents/latents.mrxt"],
-    "analyze-beta": ["betas/betas.mrxt", "betas/betas.json"],
-}
+    cells = [(diag, "all", table.overall[diag]) for diag in sorted(table.overall)]
+    cells += [(diag, label, table.cells[(diag, label)]) for diag, label in sorted(table.cells)]
+    write_csv(
+        out / "analysis" / "beta_norms.csv",
+        ["diagnosis", "age_bin", "mean_l1", "count", "se"],
+        (
+            [diag, label, format(cell.mean, ".10g"), cell.count, format(cell.se, ".10g")]
+            for diag, label, cell in cells
+        ),
+    )
 
 
 def run_stage(stage: str, cfg: RunConfig, out_dir) -> list[str]:
-    """Run one pipeline stage under the output-directory lock."""
-    if stage not in _STAGE_FUNCS:
+    """Run one pipeline stage under the output-directory lock.
+
+    The stage's inputs, as the stage table declares them, are checked and
+    hashed before it runs; returns the sorted files it wrote.
+    """
+    if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; one of {', '.join(STAGES)}")
+    declared = STAGES[stage]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with OutputLock(out):
         inputs = {
-            rel: out / rel for rel in _STAGE_INPUTS[stage] if (out / rel).exists()
+            rel: _sha256(out / rel)
+            for rel in declared.input_files(out, cfg.evaluation.predict_sources)
         }
+        for rel in declared.outputs:
+            (out / rel).parent.mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        outputs = _STAGE_FUNCS[stage](cfg, out)
+        written = globals()[f"stage_{stage.replace('-', '_')}"](cfg, out) or []
+        outputs = sorted({*declared.outputs, *written})
         _write_record(out, stage, cfg, inputs, outputs, time.monotonic() - start)
     return outputs

@@ -14,10 +14,13 @@ magic and version, then a sentinel byte 0xFF where a single tensor would
 declare its dtype (so the two kinds cannot be confused), a u32 entry count,
 and per entry: u16 name length, UTF-8 name, then dtype/ndim/dims/payload as
 above.
+
+A model is stored as a named container plus a JSON metadata file beside it.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -147,3 +150,20 @@ def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
         out[name] = _decode_tensor_body(r)
     r.done()
     return out
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def save_with_meta(tensor_path, meta_path, named: dict[str, np.ndarray], meta: dict) -> None:
+    """Write a named-tensor container and its JSON metadata."""
+    write_tensors(tensor_path, named)
+    Path(meta_path).write_text(canonical_json(meta))
+
+
+def load_with_meta(tensor_path, meta_path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a pair written by :func:`save_with_meta`; tensors come back as float64."""
+    meta = json.loads(Path(meta_path).read_text())
+    named = {k: v.astype(np.float64) for k, v in read_tensors(tensor_path).items()}
+    return named, meta

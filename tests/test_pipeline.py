@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from latprog import pipeline
 from latprog.cli import main
 from latprog.config import load_config
+from latprog.stages import STAGES
 
 MINI_CONFIG = {
     "seed": 5,
@@ -17,6 +20,45 @@ MINI_CONFIG = {
 }
 
 CHAIN = ("generate-cohort", "train-ae", "encode", "fit-betas", "fit-global-prior")
+
+# All ten stages with every belief source, as small as the phantom grid allows.
+ALL_SOURCES_CONFIG = {
+    **MINI_CONFIG,
+    "autoencoder": {"epochs": 1},
+    "gaussian_prior": {"epochs": 2},
+    "diffusion": {"epochs": 2, "k_samples": 2},
+    "schedule": {"timesteps": 20},
+    "evaluation": {
+        "predict_sources": ["global_prior", "gaussian_net", "diffusion", "regression", "posterior"]
+    },
+}
+
+
+class ReadAudit:
+    """Audit hook that collects the paths opened for reading while `paths` is a list."""
+
+    def __init__(self):
+        self.paths = None
+
+    def __call__(self, event, args):
+        if event != "open" or self.paths is None:
+            return
+        path, mode, flags = args
+        if not isinstance(path, (str, bytes, os.PathLike)):
+            return  # an already open file descriptor
+        if mode is None:  # os.open
+            reading = flags & os.O_ACCMODE == os.O_RDONLY
+        else:
+            reading = not any(c in mode for c in "wax+")
+        if reading:
+            self.paths.append(os.path.realpath(os.fsdecode(path)))
+
+
+@pytest.fixture(scope="session")
+def read_audit():
+    audit = ReadAudit()
+    sys.addaudithook(audit)  # hooks cannot be removed; this one is idle unless recording
+    return audit
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +135,79 @@ def test_predict_names_missing_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "train-ae" in err
+
+
+def test_evaluate_before_predict_names_predict(chain_run, capsys):
+    out, cfg_path = chain_run
+    rc = main(["evaluate", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "run stage 'predict' first" in err
+    assert not (out / "metrics").exists()
+
+
+def test_run_records_hash_exactly_the_files_each_stage_reads(
+    tmp_path, monkeypatch, read_audit
+):
+    """A record's inputs are the files under --out its stage function opened.
+
+    Only opens made while the stage function runs count, so the hashing of
+    the inputs by run_stage itself is not mistaken for a read.  Evaluate
+    runs again with fewer sources than predict forecast.
+    """
+    read: list[str] = []
+    for stage in STAGES:
+        name = f"stage_{stage.replace('-', '_')}"
+
+        def recorded(cfg, out, _fn=getattr(pipeline, name)):
+            read_audit.paths = read
+            try:
+                return _fn(cfg, out)
+            finally:
+                read_audit.paths = None
+
+        monkeypatch.setattr(pipeline, name, recorded)
+
+    out = tmp_path / "out"
+    root = os.path.realpath(out)
+
+    def run_and_check(stage, config) -> dict:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        read.clear()
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
+        opened = {os.path.relpath(p, root) for p in read if p.startswith(root + os.sep)}
+        inputs = json.loads((out / "runs" / f"{stage}.json").read_text())["inputs"]
+        assert set(inputs) == opened, stage
+        return inputs
+
+    inputs = {stage: run_and_check(stage, ALL_SOURCES_CONFIG) for stage in STAGES}
+    assert any(rel.startswith("cohort/volumes/") for rel in inputs["evaluate"])
+    assert any(rel.startswith("predictions/diffusion/") for rel in inputs["evaluate"])
+    assert "priors/diffusion.json" in inputs["predict"]
+
+    narrowed = {**ALL_SOURCES_CONFIG, "evaluation": {"predict_sources": ["posterior"]}}
+    forecasts = {
+        rel for rel in run_and_check("evaluate", narrowed) if rel.startswith("predictions/")
+    }
+    assert forecasts and all(
+        rel.startswith("predictions/posterior/") or rel == "predictions/predictions.json"
+        for rel in forecasts
+    )
+
+
+def test_cli_parser_loads_no_numpy():
+    """--threads must be applied before numpy loads, so the parser may not load it."""
+    code = (
+        "import sys, latprog.cli\n"
+        "latprog.cli.build_parser()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_lock_conflict_reported(tmp_path, capsys):
