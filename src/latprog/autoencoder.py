@@ -6,9 +6,12 @@ to a latent grid of 4 channels at 1/8 spatial resolution.  An affine map is
 enough to expose linear-in-age structure in the latent space, and its
 gradients are derived by hand and checked against finite differences.
 
-Loss: mean absolute error + ssim_weight * (1 - SSIM) + gamma_kl * KL to a
-unit Gaussian.  During training the decoder sees a reparameterized sample
-from the encoded distribution; at inference only the mean is decoded.
+The encoded distribution is a diagonal Gaussian whose mean depends on the
+input and whose log-variance is one learned value per latent element, the
+same for every input.  Loss: mean absolute error + ssim_weight * (1 - SSIM)
++ gamma_kl * KL to a unit Gaussian.  During training the decoder sees a
+reparameterized sample from the encoded distribution; at inference only the
+mean is decoded.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ def init_model(
             raise ValueError(f"unknown init {config.init!r}")
         params["enc_w_mean"] = w_mean
         params["enc_b_mean"] = b_mean
-        params["enc_w_logvar"] = np.zeros((n_lat, d))
         params["enc_b_logvar"] = b_logvar
         params["dec_w"] = dec_w
         params["dec_b"] = dec_b
@@ -154,7 +156,6 @@ def init_model(
         params["enc_b_hidden"] = np.zeros(h)
         params["enc_w_mean"] = scale * rng.standard_normal((n_lat, h)) / np.sqrt(h)
         params["enc_b_mean"] = np.zeros(n_lat)
-        params["enc_w_logvar"] = scale * rng.standard_normal((n_lat, h)) / np.sqrt(h)
         params["enc_b_logvar"] = np.zeros(n_lat) if config.init == "zeros" else np.full(n_lat, _LOGVAR_INIT)
         params["dec_w_hidden"] = scale * rng.standard_normal((h, n_lat)) / np.sqrt(n_lat)
         params["dec_b_hidden"] = np.zeros(h)
@@ -167,18 +168,13 @@ def init_model(
 
 
 def _encode_batch(model: AEModel, x_flat: np.ndarray):
+    """Latent means; the log-variance is ``enc_b_logvar`` for every input."""
     p, cfg = model.params, model.config
     if cfg.architecture == "affine":
-        z_mu = x_flat @ p["enc_w_mean"].T + p["enc_b_mean"]
-        z_lv = x_flat @ p["enc_w_logvar"].T + p["enc_b_logvar"]
-        cache = {}
-    else:
-        pre = x_flat @ p["enc_w_hidden"].T + p["enc_b_hidden"]
-        h = np.tanh(pre)
-        z_mu = h @ p["enc_w_mean"].T + p["enc_b_mean"]
-        z_lv = h @ p["enc_w_logvar"].T + p["enc_b_logvar"]
-        cache = {"enc_h": h}
-    return z_mu, z_lv, cache
+        return x_flat @ p["enc_w_mean"].T + p["enc_b_mean"], {}
+    pre = x_flat @ p["enc_w_hidden"].T + p["enc_b_hidden"]
+    h = np.tanh(pre)
+    return h @ p["enc_w_mean"].T + p["enc_b_mean"], {"enc_h": h}
 
 
 def _decode_batch(model: AEModel, z: np.ndarray):
@@ -195,10 +191,10 @@ def encode(model: AEModel, volume: np.ndarray) -> EncodedDistribution:
     if tuple(volume.shape) != model.input_shape:
         raise ValueError(f"volume shape {volume.shape} != model {model.input_shape}")
     x = np.asarray(volume, dtype=np.float64).reshape(1, -1)
-    z_mu, z_lv, _ = _encode_batch(model, x)
+    z_mu, _ = _encode_batch(model, x)
     return EncodedDistribution(
         mean=z_mu[0].reshape(model.latent_shape),
-        log_variance=z_lv[0].reshape(model.latent_shape),
+        log_variance=model.params["enc_b_logvar"].reshape(model.latent_shape).copy(),
     )
 
 
@@ -254,7 +250,8 @@ def loss_and_grads(
     d = model.n_voxels
     x_flat = np.asarray(x_batch, dtype=np.float64).reshape(b, d)
 
-    z_mu, z_lv, enc_cache = _encode_batch(model, x_flat)
+    z_mu, enc_cache = _encode_batch(model, x_flat)
+    z_lv = np.broadcast_to(p["enc_b_logvar"], z_mu.shape)
     if eps is not None:
         sigma = np.exp(0.5 * z_lv)
         z = z_mu + sigma * eps
@@ -306,18 +303,14 @@ def loss_and_grads(
         d_zlv = cfg.gamma_kl * 0.5 * (np.exp(z_lv) - 1.0) / b
 
     # Encoder backward.
+    grads["enc_b_mean"] = d_zmu.sum(axis=0)
+    grads["enc_b_logvar"] = d_zlv.sum(axis=0)
     if cfg.architecture == "affine":
         grads["enc_w_mean"] = d_zmu.T @ x_flat
-        grads["enc_b_mean"] = d_zmu.sum(axis=0)
-        grads["enc_w_logvar"] = d_zlv.T @ x_flat
-        grads["enc_b_logvar"] = d_zlv.sum(axis=0)
     else:
         h = enc_cache["enc_h"]
         grads["enc_w_mean"] = d_zmu.T @ h
-        grads["enc_b_mean"] = d_zmu.sum(axis=0)
-        grads["enc_w_logvar"] = d_zlv.T @ h
-        grads["enc_b_logvar"] = d_zlv.sum(axis=0)
-        d_h = (d_zmu @ p["enc_w_mean"] + d_zlv @ p["enc_w_logvar"]) * (1.0 - h * h)
+        d_h = (d_zmu @ p["enc_w_mean"]) * (1.0 - h * h)
         grads["enc_w_hidden"] = d_h.T @ x_flat
         grads["enc_b_hidden"] = d_h.sum(axis=0)
 

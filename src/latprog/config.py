@@ -9,10 +9,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .autoencoder import AEConfig
+from .autoencoder import AEConfig, latent_shape_for
 from .diffusion import DiffusionConfig
 from .errors import ConfigError
 from .gaussian_prior import GaussianPriorConfig
@@ -76,31 +78,39 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-_TUPLE_FIELDS = {
-    "scans_per_subject",
-    "age_spacing",
-    "baseline_age_range",
-    "split_fractions",
-    "lag_years",
-    "predict_sources",
-}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check(value, tp, path: str):
+    """``value`` checked against the field annotation ``tp``; JSON lists become tuples."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # only `T | None` occurs
+        return None if value is None else _check(value, args[0], path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        item_types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(item_types):
+            raise ConfigError(f"{path} must have {len(item_types)} items")
+        return tuple(_check(v, t, f"{path}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, item_types)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object")
+        return {_check(k, args[0], path): _check(v, args[1], f"{path}.{k}")
+                for k, v in value.items()}
+    allowed = (int, float) if tp is float else tp  # a float field takes an int, not a bool
+    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    return value
 
 
 def _build_section(cls, data: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in fields:
+    hints = typing.get_type_hints(cls)
+    for key in data:
+        if key not in hints:
             raise ConfigError(f"unknown config key: {path}.{key}")
-        if key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{path}.{key} must be a list")
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid section {path}: {exc}") from exc
+    return cls(**{key: _check(value, hints[key], f"{path}.{key}") for key, value in data.items()})
 
 
 _SECTIONS = {
@@ -117,40 +127,26 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     kwargs = {}
-    seeded_sections = set()
     for key, value in data.items():
         if key == "seed":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("seed must be an integer")
-            kwargs["seed"] = value
+            kwargs["seed"] = _check(value, int, "seed")
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key} must be an object")
-            if "seed" in value:
-                seeded_sections.add(key)
             kwargs[key] = _build_section(_SECTIONS[key], value, key)
         else:
             raise ConfigError(f"unknown config key: {key}")
-    cfg = RunConfig(**kwargs)
-    return _derive_seeds(cfg, seeded_sections)
+    pinned = {key for key in _SECTIONS if "seed" in data.get(key, {})}
+    return _derive_seeds(RunConfig(**kwargs), pinned)
 
 
 def _derive_seeds(cfg: RunConfig, pinned: set[str]) -> RunConfig:
     """Stage seeds default to master seed + fixed offset."""
-    updates = {}
-    if "autoencoder" not in pinned:
-        updates["autoencoder"] = dataclasses.replace(
-            cfg.autoencoder, seed=cfg.seed + SEED_OFFSETS["autoencoder"]
-        )
-    if "gaussian_prior" not in pinned:
-        updates["gaussian_prior"] = dataclasses.replace(
-            cfg.gaussian_prior, seed=cfg.seed + SEED_OFFSETS["gaussian_prior"]
-        )
-    if "diffusion" not in pinned:
-        updates["diffusion"] = dataclasses.replace(
-            cfg.diffusion, seed=cfg.seed + SEED_OFFSETS["diffusion"]
-        )
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return dataclasses.replace(cfg, **{
+        name: dataclasses.replace(getattr(cfg, name), seed=cfg.seed + SEED_OFFSETS[name])
+        for name, cls in _SECTIONS.items()
+        if name not in pinned and "seed" in cls.__dataclass_fields__
+    })
 
 
 def load_config(path=None, seed_override: int | None = None) -> RunConfig:
@@ -168,4 +164,9 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         data = dict(data)
         data["seed"] = seed_override
         # CLI seed override re-derives all stage seeds unless sections pinned theirs.
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    try:
+        latent_shape_for((cfg.cohort.grid_size,) * 3)
+    except ValueError as exc:
+        raise ConfigError(f"cohort.grid_size: {exc}") from exc
+    return cfg

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phantom
-from .autoencoder import AEModel, _fix_signs, decode, encode
+from .autoencoder import AEModel, _fix_signs, decode
 from .progression import (
     GaussianBelief,
     ObservationNoise,
@@ -272,6 +272,7 @@ def _nearest_scan(subject: phantom.SubjectRecord, target_age: float,
 def multiscan_curve(
     model: AEModel,
     cohort: phantom.Cohort,
+    latents: dict[str, np.ndarray],
     global_prior: GaussianBelief,
     obs_noise: ObservationNoise,
     *,
@@ -288,6 +289,8 @@ def multiscan_curve(
     the scans nearest first + 1, 2, ... years, with the likelihood anchored
     at the first scan.  Targets are all scans after the anchor.  The
     optional regression source fits all scans up to the anchor directly.
+    ``latents`` maps each subject id to the encoded means of its scans,
+    stacked in scan order.
     """
     spec = cohort.spec
     rows: list[MetricsRow] = []
@@ -310,10 +313,7 @@ def multiscan_curve(
             pool = [i for i in between if i not in lag_idx]
             lag_idx.append(_nearest_scan(subject, first_age + lag, pool))
 
-        latent = {
-            i: encode(model, subject.scans[i].volume).mean
-            for i in {0, anchor_idx, *lag_idx}
-        }
+        latent = latents[subject.subject_id]
         z_anchor = latent[anchor_idx]
         a_anchor = ages[anchor_idx]
 

@@ -324,6 +324,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
     summary: dict = {"holdout": evaluation.summarize_rows(rows)}
     outputs = []
+    test_seqs = _sequences_from_latents(tensors, meta, split="test")
 
     beliefs = _load_beliefs(out, [s for s in sources if s in GLOBAL_PRIOR_SOURCES], cfg)
     if beliefs:
@@ -331,6 +332,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
             ms_rows, ms_summary = evaluation.multiscan_curve(
                 model,
                 cohort.split("test"),
+                {seq.subject_id: seq.latents for seq in test_seqs},
                 beliefs["global_prior"],
                 beliefs["obs_noise"],
                 anchor_year=cfg.evaluation.anchor_year,
@@ -367,7 +369,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         outputs.append("metrics/interpolation.csv")
 
     collinearity = {}
-    for seq in _sequences_from_latents(tensors, meta, split="test"):
+    for seq in test_seqs:
         if len(seq.ages) >= 3:
             collinearity[seq.subject_id] = evaluation.latent_collinearity(
                 list(seq.latents)

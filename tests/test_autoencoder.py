@@ -130,6 +130,20 @@ def test_gradients_match_finite_differences(architecture, rng):
             assert got == pytest.approx(fd, rel=1e-3, abs=1e-7), f"{name}[{k}]"
 
 
+@pytest.mark.parametrize("architecture", ["affine", "mlp"])
+def test_log_variance_does_not_depend_on_input(architecture, rng):
+    cfg = AEConfig(architecture=architecture, hidden_width=6, init="random", seed=2)
+    model = init_model(cfg, (8, 8, 8))
+    assert "enc_w_logvar" not in model.params
+    bias = model.params["enc_b_logvar"]
+    bias += rng.normal(0.0, 0.5, bias.shape)
+    first, second = (encode(model, v) for v in smooth_volumes(rng, 2))
+    assert not np.array_equal(first.mean, second.mean)
+    assert np.array_equal(first.log_variance, second.log_variance)
+    assert np.array_equal(first.log_variance.ravel(), bias)
+    assert not np.shares_memory(first.log_variance, bias)
+
+
 def test_zero_learning_rate_is_identity(rng):
     vols = smooth_volumes(rng, 3)
     cfg = AEConfig(learning_rate=0.0, epochs=1, batch_size=2, init="random", seed=4)

@@ -326,13 +326,22 @@ def flat_model(spec32):
     return init_model(AEConfig(init="zeros"), (spec32.grid_size,) * 3)
 
 
+def _latent_means(model, cohort):
+    return {
+        s.subject_id: np.stack([encode(model, scan.volume).mean for scan in s.scans])
+        for s in cohort.subjects
+    }
+
+
 def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
     latent_shape = flat_model.latent_shape
     prior = GaussianBelief(
         mean=np.zeros(latent_shape), variance=np.ones(latent_shape)
     )
     noise = ObservationNoise(variance=np.full(latent_shape, 0.25))
-    rows, summary = multiscan_curve(flat_model, protocol_cohort, prior, noise)
+    rows, summary = multiscan_curve(
+        flat_model, protocol_cohort, _latent_means(flat_model, protocol_cohort), prior, noise
+    )
 
     assert len(rows) == 3 * 2 * 5  # subjects x targets x sources
     assert {r.source for r in rows} == {"global_prior", "posterior", "regression"}
@@ -356,7 +365,8 @@ def test_multiscan_curve_without_regression(protocol_cohort, flat_model):
     prior = GaussianBelief(mean=np.zeros(latent_shape), variance=np.ones(latent_shape))
     noise = ObservationNoise(variance=np.full(latent_shape, 0.25))
     rows, summary = multiscan_curve(
-        flat_model, protocol_cohort, prior, noise, include_regression=False
+        flat_model, protocol_cohort, _latent_means(flat_model, protocol_cohort), prior, noise,
+        include_regression=False,
     )
     assert {r.source for r in rows} == {"global_prior", "posterior"}
     assert "regression/n=5" not in summary
@@ -370,4 +380,4 @@ def test_multiscan_curve_requires_eligible_subjects(spec32, flat_model):
     prior = GaussianBelief(mean=np.zeros(latent_shape), variance=np.ones(latent_shape))
     noise = ObservationNoise(variance=np.full(latent_shape, 0.25))
     with pytest.raises(ValueError, match="no eligible subjects"):
-        multiscan_curve(flat_model, short, prior, noise)
+        multiscan_curve(flat_model, short, _latent_means(flat_model, short), prior, noise)

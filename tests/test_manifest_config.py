@@ -165,6 +165,22 @@ def test_tuple_fields_coerced():
         config_from_dict({"cohort": {"scans_per_subject": 3}})
 
 
+def test_values_checked_against_annotations():
+    cfg = config_from_dict({"cohort": {"noise_sigma": 0, "diagnosis_mix": {"healthy": 1}}})
+    assert cfg.cohort.noise_sigma == 0 and cfg.cohort.diagnosis_mix == {"healthy": 1}
+    for doc, message in [
+        ({"cohort": {"n_subjects": True}}, "cohort.n_subjects must be an integer"),
+        ({"cohort": {"noise_sigma": False}}, "cohort.noise_sigma must be a number"),
+        ({"autoencoder": {"sample_latent": 1}}, "autoencoder.sample_latent must be a boolean"),
+        ({"autoencoder": {"init": None}}, "autoencoder.init must be a string"),
+        ({"cohort": {"scans_per_subject": [2, 3, 4]}}, "must have 2 items"),
+        ({"evaluation": {"lag_years": [1, "2"]}}, r"evaluation.lag_years\[1\] must be a number"),
+        ({"cohort": {"diagnosis_mix": {"mci": "x"}}}, "cohort.diagnosis_mix.mci must be a number"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+
+
 def test_config_hash_stable_and_sensitive():
     a = config_from_dict({"seed": 5})
     b = config_from_dict({"seed": 5})

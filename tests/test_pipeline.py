@@ -230,6 +230,20 @@ def test_unknown_config_key_reported(tmp_path, capsys):
     assert "unknown config key: autoencoder.bogus" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"cohort": {"n_subjects": "4"}}, "error: cohort.n_subjects must be an integer, got '4'"),
+    ({"cohort": {"grid_size": 36}}, "error: cohort.grid_size: volume dims must be divisible by 8"),
+], ids=["wrong-type", "grid-size"])
+def test_bad_config_value_rejected_before_any_work(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc = main(["generate-cohort", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_threads_must_be_positive(tmp_path, capsys):
     rc = main(["generate-cohort", "--out", str(tmp_path / "o"), "--threads", "0"])
     err = capsys.readouterr().err
