@@ -103,9 +103,11 @@ def init_model(
     """Build an untrained model.
 
     ``init="pca"`` seeds the affine maps with principal components of the
-    training volumes (decoder = transpose), which starts training from a
-    strong least-squares reconstruction; it requires ``train_volumes`` and
-    the affine architecture.
+    training volumes, which starts training from a strong least-squares
+    reconstruction; it requires ``train_volumes`` and the affine
+    architecture.  Its ``dec_w`` is the transposed view of ``enc_w_mean``,
+    not a copy: the two weights stay tied through training, and every
+    optimizer step applies both of their updates to the one shared buffer.
     """
     lat_shape = latent_shape_for(input_shape)
     d = int(np.prod(input_shape))
@@ -283,7 +285,8 @@ def loss_and_grads(
     grads: dict[str, np.ndarray] = {}
     # Decoder backward.
     if cfg.architecture == "affine":
-        grads["dec_w"] = d_xhat.T @ z
+        # dec_w's own memory order (Fortran under the PCA tie), for the optimizer
+        grads["dec_w"] = np.matmul(d_xhat.T, z, out=np.empty_like(p["dec_w"]))
         grads["dec_b"] = d_xhat.sum(axis=0)
         d_z = d_xhat @ p["dec_w"]
     else:
@@ -358,6 +361,7 @@ def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
                 raise RuntimeError("training diverged: non-finite loss")
             rmsprop_step(model.params, grads, v_state, config.learning_rate,
                          config.rmsprop_decay)
+            del grads  # not alive while the next step's gradients are built
             epoch_total += terms.total
             n_batches += 1
         model.loss_curve.append(epoch_total / n_batches)

@@ -105,12 +105,21 @@ def _check(value, tp, path: str):
     return value
 
 
+# Lowest value of each count, by field name in any section; `epochs: 0` keeps the init.
+_MINIMUMS = {"n_subjects": 1, "grid_size": 1, "batch_size": 1, "hidden_width": 1,
+             "timesteps": 1, "k_samples": 1, "epochs": 0}
+
+
 def _build_section(cls, data: dict, path: str):
     hints = typing.get_type_hints(cls)
     for key in data:
         if key not in hints:
             raise ConfigError(f"unknown config key: {path}.{key}")
-    return cls(**{key: _check(value, hints[key], f"{path}.{key}") for key, value in data.items()})
+    values = {key: _check(value, hints[key], f"{path}.{key}") for key, value in data.items()}
+    for key, value in values.items():
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise ConfigError(f"{path}.{key} must be at least {_MINIMUMS[key]}, got {value}")
+    return cls(**values)
 
 
 _SECTIONS = {

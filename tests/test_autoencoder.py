@@ -200,6 +200,29 @@ def test_pca_init_reconstructs_low_rank_data(rng):
         assert np.abs(reconstruct(model, v) - v).max() < 1e-9
 
 
+def test_pca_tie_survives_training(rng):
+    vols = smooth_volumes(rng, 3)
+    cfg = AEConfig(init="pca", epochs=2, learning_rate=1e-3, batch_size=2, seed=5)
+    model = train_autoencoder(vols, cfg)
+    enc_w, dec_w = model.params["enc_w_mean"], model.params["dec_w"]
+    assert np.shares_memory(enc_w, dec_w)
+    assert np.array_equal(dec_w, enc_w.T)
+    assert dec_w.flags.f_contiguous and not dec_w.flags.c_contiguous
+
+
+@pytest.mark.parametrize("architecture, init",
+                         [("affine", "pca"), ("affine", "random"), ("mlp", "random")])
+def test_weight_gradients_have_their_parameters_memory_order(architecture, init, rng):
+    vols = np.stack(smooth_volumes(rng, 3))
+    cfg = AEConfig(architecture=architecture, hidden_width=6, init=init, seed=2)
+    model = init_model(cfg, (8, 8, 8), train_volumes=vols)
+    _, grads = loss_and_grads(model, vols, None)
+    for name, g in grads.items():
+        p = model.params[name]
+        assert (g.flags.c_contiguous, g.flags.f_contiguous) == (
+            p.flags.c_contiguous, p.flags.f_contiguous), name
+
+
 def test_pca_init_requires_volumes_and_affine(rng):
     with pytest.raises(ValueError):
         init_model(AEConfig(init="pca"), (8, 8, 8))

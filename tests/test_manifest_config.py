@@ -181,6 +181,29 @@ def test_values_checked_against_annotations():
             config_from_dict(doc)
 
 
+@pytest.mark.parametrize("section, key, minimum", [
+    ("cohort", "n_subjects", 1),
+    ("cohort", "grid_size", 1),
+    ("autoencoder", "batch_size", 1),
+    ("autoencoder", "hidden_width", 1),
+    ("autoencoder", "epochs", 0),
+    ("gaussian_prior", "batch_size", 1),
+    ("gaussian_prior", "hidden_width", 1),
+    ("gaussian_prior", "epochs", 0),
+    ("diffusion", "batch_size", 1),
+    ("diffusion", "hidden_width", 1),
+    ("diffusion", "epochs", 0),
+    ("diffusion", "k_samples", 1),
+    ("schedule", "timesteps", 1),
+])
+def test_counts_below_their_minimum_rejected(section, key, minimum):
+    cfg = config_from_dict({section: {key: minimum}})
+    assert getattr(getattr(cfg, section), key) == minimum
+    message = rf"^{section}\.{key} must be at least {minimum}, got {minimum - 1}$"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({section: {key: minimum - 1}})
+
+
 def test_config_hash_stable_and_sensitive():
     a = config_from_dict({"seed": 5})
     b = config_from_dict({"seed": 5})
