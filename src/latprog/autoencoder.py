@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .optim import rmsprop_step
+from . import optim
 from .ssim import ssim3d, ssim3d_with_grad
 from .tensorfile import load_with_meta, save_with_meta
 
@@ -322,49 +322,23 @@ def loss_and_grads(
 
 
 def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
-    """Train on a stack of volumes (or a Cohort's train split).
+    """Train on a stack of volumes.
 
     Momentum-free adaptive steps (RMSProp); deterministic given config.seed.
     Raises on divergence.  The returned model records per-epoch mean loss.
     """
-    from .phantom import Cohort  # local import to avoid a cycle
-
-    if isinstance(train_volumes, Cohort):
-        vols = train_volumes.split("train").volumes()
-    else:
-        vols = list(train_volumes)
+    vols = list(train_volumes)
     if not vols:
         raise ValueError("no training volumes")
     x = np.stack([np.asarray(v, dtype=np.float64) for v in vols])
-    n = x.shape[0]
-    input_shape = x.shape[1:]
+    model = init_model(config, x.shape[1:], train_volumes=x)
 
-    model = init_model(config, input_shape, train_volumes=x)
-    n_lat = model.n_latent
-    rng = np.random.default_rng(config.seed)
-    v_state = {k: np.zeros_like(p) for k, p in model.params.items()}
+    def step(idx, rng):
+        eps = rng.standard_normal((len(idx), model.n_latent)) if config.sample_latent else None
+        terms, grads = loss_and_grads(model, x[idx], eps)
+        return terms.total, grads
 
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_total = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = x[idx]
-            eps = (
-                rng.standard_normal((len(idx), n_lat))
-                if config.sample_latent
-                else None
-            )
-            terms, grads = loss_and_grads(model, batch, eps)
-            if not np.isfinite(terms.total):
-                raise RuntimeError("training diverged: non-finite loss")
-            rmsprop_step(model.params, grads, v_state, config.learning_rate,
-                         config.rmsprop_decay)
-            del grads  # not alive while the next step's gradients are built
-            epoch_total += terms.total
-            n_batches += 1
-        model.loss_curve.append(epoch_total / n_batches)
+    model.loss_curve = optim.train(model.params, len(x), config, step)
     return model
 
 
@@ -374,19 +348,26 @@ def reconstruct(model: AEModel, volume: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: AEModel, tensor_path, meta_path) -> None:
+    """Write the model; a ``dec_w`` tied to ``enc_w_mean`` (PCA init) is stored once."""
+    params = dict(model.params)
+    if "dec_w" in params and np.shares_memory(params["dec_w"], params["enc_w_mean"]):
+        del params["dec_w"]
     meta = {
         "config": asdict(model.config),
         "input_shape": list(model.input_shape),
         "latent_shape": list(model.latent_shape),
         "loss_curve": model.loss_curve,
     }
-    save_with_meta(tensor_path, meta_path, model.params, meta)
+    save_with_meta(tensor_path, meta_path, params, meta)
 
 
 def load_model(tensor_path, meta_path) -> AEModel:
     params, meta = load_with_meta(tensor_path, meta_path)
+    config = AEConfig(**meta["config"])
+    if config.architecture == "affine" and "dec_w" not in params:
+        params["dec_w"] = params["enc_w_mean"].T  # the PCA tie, restored
     return AEModel(
-        config=AEConfig(**meta["config"]),
+        config=config,
         input_shape=tuple(meta["input_shape"]),
         latent_shape=tuple(meta["latent_shape"]),
         params=params,

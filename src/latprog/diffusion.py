@@ -4,8 +4,9 @@ A shallow conditional denoiser is trained to predict the noise injected
 into standardized beta targets; sampling runs the standard reverse chain
 and averages K independent draws.  The chain operates in a standardized
 target space (shift/scale estimated from the training triplets) so the
-unit-Gaussian start matches the target scale; raw callables bypass the
-standardization, which lets closed-form denoisers drive the exact chain.
+unit-Gaussian start matches the target scale; a raw callable passed to the
+sampler bypasses the standardization, which lets closed-form denoisers drive
+the exact chain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .gaussian_prior import normalize_age
-from .optim import rmsprop_step
+from . import optim
 from .progression import TrainingTriplet
 from .tensorfile import load_with_meta, save_with_meta
 
@@ -63,9 +64,14 @@ class NoiseSchedule:
             raise ValueError("invalid schedule: alpha_bars must strictly decrease")
 
 
-def forward_noise(schedule: NoiseSchedule, beta, t: int, eps) -> np.ndarray:
-    """Noised target at step t: sqrt(abar_t) * beta + sqrt(1 - abar_t) * eps."""
+def forward_noise(schedule: NoiseSchedule, beta, t, eps) -> np.ndarray:
+    """Noised target at step t: sqrt(abar_t) * beta + sqrt(1 - abar_t) * eps.
+
+    ``t`` is one step for the whole target, or an array of steps, one per row.
+    """
     abar = schedule.alpha_bars[t]
+    if np.ndim(t):
+        abar = abar[:, None]
     return np.sqrt(abar) * np.asarray(beta, dtype=np.float64) + np.sqrt(1.0 - abar) * np.asarray(eps, dtype=np.float64)
 
 
@@ -102,7 +108,6 @@ class DiffusionDenoiser:
     target_shift: np.ndarray  # elementwise mean of training betas
     target_scale: np.ndarray  # elementwise std, floored
     timesteps: int
-    opt_state: dict[str, np.ndarray] = field(default_factory=dict)
     loss_curve: list[float] = field(default_factory=list)
 
 
@@ -134,7 +139,6 @@ def _init_denoiser(
         target_shift=shift.astype(np.float64).ravel(),
         target_scale=scale.astype(np.float64).ravel(),
         timesteps=timesteps,
-        opt_state={k: np.zeros_like(v) for k, v in params.items()},
     )
 
 
@@ -229,48 +233,6 @@ def destandardize_target(denoiser: DiffusionDenoiser, x_std) -> np.ndarray:
     return (flat * denoiser.target_scale + denoiser.target_shift).reshape(denoiser.beta_shape)
 
 
-def diffusion_train_step(
-    denoiser, schedule: NoiseSchedule, target_beta, condition, seed: int
-) -> float:
-    """One noise-prediction step on a single target.
-
-    Draw order from ``default_rng(seed)``: one uniform timestep in [1, T],
-    then one standard-normal grid.  For a trainable denoiser this applies
-    one optimizer step and one EMA update; a plain callable (x, z, a, t)
-    only has its loss evaluated.
-    """
-    schedule.validate()
-    z_cond, age = condition
-    rng = np.random.default_rng(seed)
-    t = int(rng.integers(1, schedule.timesteps + 1))
-    if isinstance(denoiser, DiffusionDenoiser):
-        if schedule.timesteps != denoiser.timesteps:
-            raise ValueError("schedule length does not match the denoiser")
-        target = standardize_target(denoiser, target_beta)
-        eps = rng.standard_normal(target.shape)
-        noised = forward_noise(schedule, target, t, eps)
-        loss, grads = loss_and_grads(
-            denoiser,
-            noised[None],
-            np.asarray(z_cond, dtype=np.float64)[None],
-            np.array([age], dtype=np.float64),
-            np.array([t]),
-            eps[None],
-        )
-        if not np.isfinite(loss):
-            raise RuntimeError("training diverged: non-finite loss")
-        cfg = denoiser.config
-        rmsprop_step(denoiser.params, grads, denoiser.opt_state, cfg.learning_rate,
-                     cfg.rmsprop_decay)
-        ema_update(denoiser)
-        return loss
-    target = np.asarray(target_beta, dtype=np.float64)
-    eps = rng.standard_normal(target.shape)
-    noised = forward_noise(schedule, target, t, eps)
-    pred = np.asarray(denoiser(noised, z_cond, age, t), dtype=np.float64)
-    return float(np.mean((eps - pred) ** 2))
-
-
 def train_diffusion_prior(
     triplets: list[TrainingTriplet], schedule: NoiseSchedule, config: DiffusionConfig
 ) -> DiffusionDenoiser:
@@ -289,27 +251,16 @@ def train_diffusion_prior(
         config, latents.shape[1:], betas.shape[1:], shift, scale, schedule.timesteps
     )
     targets = (beta_flat - shift) / scale
-    rng = np.random.default_rng(config.seed)
-    n = len(triplets)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            t = rng.integers(1, schedule.timesteps + 1, size=len(idx))
-            eps = rng.standard_normal((len(idx), targets.shape[1]))
-            abar = schedule.alpha_bars[t][:, None]
-            noised = np.sqrt(abar) * targets[idx] + np.sqrt(1.0 - abar) * eps
-            loss, grads = loss_and_grads(denoiser, noised, latents[idx], ages[idx], t, eps)
-            if not np.isfinite(loss):
-                raise RuntimeError("training diverged: non-finite loss")
-            rmsprop_step(denoiser.params, grads, denoiser.opt_state, config.learning_rate,
-                         config.rmsprop_decay)
-            ema_update(denoiser)
-            epoch_loss += loss
-            n_batches += 1
-        denoiser.loss_curve.append(epoch_loss / n_batches)
+
+    def step(idx, rng):
+        t = rng.integers(1, schedule.timesteps + 1, size=len(idx))
+        eps = rng.standard_normal((len(idx), targets.shape[1]))
+        noised = forward_noise(schedule, targets[idx], t, eps)
+        return loss_and_grads(denoiser, noised, latents[idx], ages[idx], t, eps)
+
+    denoiser.loss_curve = optim.train(
+        denoiser.params, len(triplets), config, step, lambda: ema_update(denoiser)
+    )
     return denoiser
 
 
@@ -400,6 +351,5 @@ def load_denoiser(tensor_path, meta_path) -> DiffusionDenoiser:
         target_shift=named["target_shift"],
         target_scale=named["target_scale"],
         timesteps=int(meta["timesteps"]),
-        opt_state={k: np.zeros_like(v) for k, v in params.items()},
         loss_curve=list(meta["loss_curve"]),
     )

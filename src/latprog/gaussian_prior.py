@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .optim import rmsprop_step
+from . import optim
 from .progression import VARIANCE_FLOOR, GaussianBelief, TrainingTriplet
 from .tensorfile import load_with_meta, save_with_meta
 
@@ -149,22 +149,10 @@ def train_gaussian_prior(
         beta_flat.mean(axis=0),
         np.log(beta_flat.var(axis=0) + VARIANCE_FLOOR),
     )
-    rng = np.random.default_rng(config.seed)
-    v_state = {k: np.zeros_like(v) for k, v in net.params.items()}
-    n = len(triplets)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_grads(net, latents[idx], ages[idx], beta_flat[idx])
-            if not np.isfinite(loss):
-                raise RuntimeError("training diverged: non-finite loss")
-            rmsprop_step(net.params, grads, v_state, config.learning_rate, config.rmsprop_decay)
-            epoch_loss += loss
-            n_batches += 1
-        net.loss_curve.append(epoch_loss / n_batches)
+    net.loss_curve = optim.train(
+        net.params, len(triplets), config,
+        lambda idx, rng: loss_and_grads(net, latents[idx], ages[idx], beta_flat[idx]),
+    )
     return net
 
 

@@ -1,6 +1,9 @@
-"""The optimizer step shared by the autoencoder and the two learned priors."""
+"""The minibatch training loop and optimizer step shared by the autoencoder
+and the two learned priors."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -33,3 +36,36 @@ def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             u = learning_rate * gb
             u /= t
             pb -= u
+
+
+def train(params: dict[str, np.ndarray], n: int, config,
+          step: Callable[[np.ndarray, np.random.Generator], tuple[float, dict]],
+          after_step: Callable[[], None] | None = None) -> list[float]:
+    """Minibatch RMSProp over ``n`` examples; returns the per-epoch mean losses.
+
+    Reads ``epochs``, ``batch_size``, ``learning_rate``, ``rmsprop_decay`` and
+    ``seed`` from ``config``.  Each epoch draws a permutation of the examples
+    from ``default_rng(config.seed)``; ``step(idx, rng)`` gets the batch's
+    indices and that same generator, so any draws it makes follow the
+    permutation in one stream, and returns ``(loss, grads)``.  ``after_step``
+    runs after each update.  Raises on a non-finite loss.
+    """
+    rng = np.random.default_rng(config.seed)
+    state = {k: np.zeros_like(p) for k, p in params.items()}
+    curve = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_total = 0.0
+        n_batches = 0
+        for start in range(0, n, config.batch_size):
+            loss, grads = step(order[start : start + config.batch_size], rng)
+            if not np.isfinite(loss):
+                raise RuntimeError("training diverged: non-finite loss")
+            rmsprop_step(params, grads, state, config.learning_rate, config.rmsprop_decay)
+            del grads  # not alive while the next step's gradients are built
+            if after_step is not None:
+                after_step()
+            epoch_total += loss
+            n_batches += 1
+        curve.append(epoch_total / n_batches)
+    return curve

@@ -29,7 +29,7 @@ def cohort60(spec32):
 def model60(cohort60):
     """Default-recipe model; wall time is part of the quality criterion."""
     t0 = time.monotonic()
-    model = train_autoencoder(cohort60, AEConfig())
+    model = train_autoencoder(cohort60.split("train").volumes(), AEConfig())
     model.train_seconds = time.monotonic() - t0
     return model
 

@@ -63,15 +63,17 @@ def grid(value):
 
 def test_criterion_1_rate_estimator_global_minimum():
     rng = np.random.default_rng(101)
-    start = time.monotonic()
+    estimator_s = 0.0  # the estimator's time only, not the grid oracle's
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         weights = rng.uniform(0.1, 3.0, n)
         slopes = rng.uniform(0.0, 12.0, n)
+        start = time.monotonic()
         beta = l1_slope(weights, slopes * weights)
+        estimator_s += time.monotonic() - start
         _, ref_min = oracles.l1_grid_argmin(slopes, weights)
         assert oracles.l1_objective(beta, slopes, weights) <= ref_min + 1e-8
-    assert time.monotonic() - start < 5.0
+    assert estimator_s < 5.0
 
     # noiseless trajectories are recovered exactly
     for trial in range(50):

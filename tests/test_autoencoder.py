@@ -19,6 +19,7 @@ from latprog.autoencoder import (
     train_autoencoder,
 )
 from latprog.ssim import ssim3d
+from latprog.tensorfile import read_tensors
 
 
 def smooth_volumes(rng, n, shape=(8, 8, 8)):
@@ -246,6 +247,20 @@ def test_save_load_roundtrip(tmp_path, rng):
     x = rng.random((8, 8, 8))
     # weights round through float32 storage
     assert np.allclose(reconstruct(back, x), reconstruct(model, x), atol=1e-5)
+
+
+@pytest.mark.parametrize("init, n_stored", [("pca", 4), ("random", 5)])
+def test_pca_tied_weight_is_stored_once(init, n_stored, tmp_path, rng):
+    vols = smooth_volumes(rng, 3)
+    model = train_autoencoder(vols, AEConfig(init=init, epochs=1, batch_size=2, seed=5))
+    tp, mp = tmp_path / "m.mrxt", tmp_path / "m.json"
+    save_model(model, tp, mp)
+    assert len(read_tensors(tp)) == n_stored
+    back = load_model(tp, mp)
+    assert back.params.keys() == model.params.keys()
+    assert np.shares_memory(back.params["dec_w"], back.params["enc_w_mean"]) == (init == "pca")
+    for k, v in model.params.items():
+        assert np.array_equal(back.params[k], v.astype(np.float32)), k
 
 
 def test_mlp_architecture_trains(rng):

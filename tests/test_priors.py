@@ -11,7 +11,6 @@ from latprog.diffusion import (
     DiffusionDenoiser,
     NoiseSchedule,
     ancestral_sample,
-    diffusion_train_step,
     ema_update,
     forward_noise,
     load_denoiser,
@@ -327,38 +326,7 @@ def test_timestep_embedding_formula():
     assert len(np.unique(full.round(12), axis=0)) == 100
 
 
-# --------------------------------------------------------- train step / chain
-
-
-def test_train_step_zero_loss_for_injected_noise_oracle():
-    # replaying the step's own rng draws makes the mse vanish identically
-    sched = NoiseSchedule.linear(timesteps=50)
-    beta = np.linspace(-1.0, 1.0, DIM).reshape(SHAPE)
-    seed = 1234
-    rng = np.random.default_rng(seed)
-    rng.integers(1, 51)  # discard the timestep draw, keep stream position
-    eps = rng.standard_normal(SHAPE)
-
-    loss = diffusion_train_step(
-        lambda x, z, a, t: eps, sched, beta, (np.zeros(SHAPE), 70.0), seed=seed
-    )
-    assert loss == 0.0
-
-
-def test_train_step_mse_against_manual_replay():
-    sched = NoiseSchedule.linear(timesteps=30)
-    beta = np.full(SHAPE, 0.4)
-    seed = 77
-    rng = np.random.default_rng(seed)
-    t = int(rng.integers(1, 31))
-    eps = rng.standard_normal(SHAPE)
-
-    pred = 0.25 * np.ones(SHAPE)
-    loss = diffusion_train_step(
-        lambda x, z, a, tt: pred, sched, beta, (np.zeros(SHAPE), 70.0), seed=seed
-    )
-    assert loss == pytest.approx(float(np.mean((eps - pred) ** 2)), rel=1e-12)
-    assert t >= 1  # replay consumed the same draws
+# ---------------------------------------------------------- sampling chain
 
 
 def test_zero_denoiser_chain_telescopes():
@@ -537,28 +505,12 @@ def test_diffusion_gradients_match_finite_differences():
             assert g.ravel()[idx] == pytest.approx(fd, rel=1e-3, abs=1e-8), k
 
 
-def test_train_step_loss_trend_decreases():
-    trips = make_triplets(16, seed=30)
-    sched = NoiseSchedule.linear(timesteps=50)
-    den = train_diffusion_prior(trips, sched, make_diffusion_config(epochs=0))
-
-    losses = []
-    for step in range(500):
-        trip = trips[step % len(trips)]
-        losses.append(
-            diffusion_train_step(den, sched, trip.beta, (trip.latent, trip.age), seed=step)
-        )
-    assert np.mean(losses[-100:]) < np.mean(losses[:100])
-
-
 def test_train_step_schedule_mismatch_raises():
     trips = make_triplets(4, seed=5)
     den = train_diffusion_prior(
         trips, NoiseSchedule.linear(timesteps=10), make_diffusion_config(epochs=0)
     )
     other = NoiseSchedule.linear(timesteps=20)
-    with pytest.raises(ValueError, match="does not match"):
-        diffusion_train_step(den, other, trips[0].beta, (trips[0].latent, 70.0), seed=0)
     with pytest.raises(ValueError, match="does not match"):
         ancestral_sample(den, other, (trips[0].latent, 70.0), seed=0)
 
@@ -575,6 +527,16 @@ def test_train_diffusion_prior_end_to_end():
     out = sample_beta_averaged(den, sched, (trips[0].latent, trips[0].age), k=3, seed=9)
     assert out.shape == SHAPE
     assert np.all(np.isfinite(out))
+
+
+def test_diffusion_training_divergence_raises():
+    trips = make_triplets(16, seed=21)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="diverged: non-finite loss"):
+            train_diffusion_prior(
+                trips, NoiseSchedule.linear(timesteps=20),
+                make_diffusion_config(epochs=5, learning_rate=1e200),
+            )
 
 
 def test_diffusion_empty_triplets_rejected():
