@@ -2,9 +2,15 @@
 
 The architecture is deliberately small: an affine encoder/decoder pair by
 default (optionally one tanh hidden layer per side), mapping a cubic volume
-to a latent grid of 4 channels at 1/8 spatial resolution.  An affine map is
-enough to expose linear-in-age structure in the latent space, and its
-gradients are derived by hand and checked against finite differences.
+to a flat latent vector of ``LATENT_DIM`` floats.  An affine map is enough to
+expose linear-in-age structure in the latent space, and its gradients are
+derived by hand and checked against finite differences.
+
+``LATENT_DIM`` is sized to the signal, not to the grid: a phantom cohort
+varies along a handful of directions plus isotropic voxel noise, and on the
+default cohorts 3 to 5 principal components rise above the noise edge
+sigma^2 (sqrt(n) + sqrt(d))^2.  Eight is the next power of two above that
+count; every further dimension would carry only noise.
 
 The encoded distribution is a diagonal Gaussian whose mean depends on the
 input and whose log-variance is one learned value per latent element, the
@@ -24,8 +30,7 @@ from . import optim
 from .ssim import ssim3d, ssim3d_with_grad
 from .tensorfile import load_with_meta, save_with_meta
 
-LATENT_CHANNELS = 4
-DOWNSAMPLE = 8
+LATENT_DIM = 8
 _LOGVAR_INIT = -6.0
 
 
@@ -64,7 +69,6 @@ class AELossTerms:
 class AEModel:
     config: AEConfig
     input_shape: tuple[int, int, int]
-    latent_shape: tuple[int, int, int, int]
     params: dict[str, np.ndarray]
     loss_curve: list[float] = field(default_factory=list)
 
@@ -74,16 +78,7 @@ class AEModel:
 
     @property
     def n_latent(self) -> int:
-        return int(np.prod(self.latent_shape))
-
-
-def latent_shape_for(input_shape: tuple[int, int, int]) -> tuple[int, int, int, int]:
-    for s in input_shape:
-        if s % DOWNSAMPLE != 0:
-            raise ValueError(
-                f"volume dims must be divisible by {DOWNSAMPLE}, got {input_shape}"
-            )
-    return (LATENT_CHANNELS,) + tuple(s // DOWNSAMPLE for s in input_shape)
+        return self.params["enc_b_mean"].size
 
 
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
@@ -109,9 +104,8 @@ def init_model(
     not a copy: the two weights stay tied through training, and every
     optimizer step applies both of their updates to the one shared buffer.
     """
-    lat_shape = latent_shape_for(input_shape)
     d = int(np.prod(input_shape))
-    n_lat = int(np.prod(lat_shape))
+    n_lat = LATENT_DIM
     rng = np.random.default_rng(config.seed)
     params: dict[str, np.ndarray] = {}
 
@@ -165,8 +159,7 @@ def init_model(
         params["dec_b_out"] = np.zeros(d)
     else:
         raise ValueError(f"unknown architecture {config.architecture!r}")
-    return AEModel(config=config, input_shape=tuple(input_shape),
-                   latent_shape=lat_shape, params=params)
+    return AEModel(config=config, input_shape=tuple(input_shape), params=params)
 
 
 def _encode_batch(model: AEModel, x_flat: np.ndarray):
@@ -194,18 +187,14 @@ def encode(model: AEModel, volume: np.ndarray) -> EncodedDistribution:
         raise ValueError(f"volume shape {volume.shape} != model {model.input_shape}")
     x = np.asarray(volume, dtype=np.float64).reshape(1, -1)
     z_mu, _ = _encode_batch(model, x)
-    return EncodedDistribution(
-        mean=z_mu[0].reshape(model.latent_shape),
-        log_variance=model.params["enc_b_logvar"].reshape(model.latent_shape).copy(),
-    )
+    return EncodedDistribution(mean=z_mu[0], log_variance=model.params["enc_b_logvar"].copy())
 
 
 def decode(model: AEModel, latent: np.ndarray) -> np.ndarray:
-    """Decode a latent grid to a volume."""
-    if tuple(latent.shape) != model.latent_shape:
-        raise ValueError(f"latent shape {latent.shape} != model {model.latent_shape}")
-    z = np.asarray(latent, dtype=np.float64).reshape(1, -1)
-    x_hat, _ = _decode_batch(model, z)
+    """Decode a latent vector to a volume."""
+    if latent.shape != (model.n_latent,):
+        raise ValueError(f"latent shape {latent.shape} != model ({model.n_latent},)")
+    x_hat, _ = _decode_batch(model, np.asarray(latent, dtype=np.float64)[None])
     return x_hat[0].reshape(model.input_shape)
 
 
@@ -355,7 +344,6 @@ def save_model(model: AEModel, tensor_path, meta_path) -> None:
     meta = {
         "config": asdict(model.config),
         "input_shape": list(model.input_shape),
-        "latent_shape": list(model.latent_shape),
         "loss_curve": model.loss_curve,
     }
     save_with_meta(tensor_path, meta_path, params, meta)
@@ -369,7 +357,6 @@ def load_model(tensor_path, meta_path) -> AEModel:
     return AEModel(
         config=config,
         input_shape=tuple(meta["input_shape"]),
-        latent_shape=tuple(meta["latent_shape"]),
         params=params,
         loss_curve=list(meta["loss_curve"]),
     )

@@ -14,7 +14,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .autoencoder import AEConfig, latent_shape_for
+from . import phantom
+from .autoencoder import AEConfig
 from .diffusion import DiffusionConfig
 from .errors import ConfigError
 from .gaussian_prior import GaussianPriorConfig
@@ -174,8 +175,13 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         data["seed"] = seed_override
         # CLI seed override re-derives all stage seeds unless sections pinned theirs.
     cfg = config_from_dict(data)
+    cp = cfg.cohort
     try:
-        latent_shape_for((cfg.cohort.grid_size,) * 3)
+        phantom.default_spec(cp.grid_size, cp.noise_sigma)
     except ValueError as exc:
-        raise ConfigError(f"cohort.grid_size: {exc}") from exc
+        try:  # the noise-free phantom checks the geometry alone
+            phantom.default_spec(cp.grid_size, 0.0)
+        except ValueError as grid_exc:
+            raise ConfigError(f"cohort.grid_size: {grid_exc}") from grid_exc
+        raise ConfigError(f"cohort.noise_sigma: {exc}") from exc
     return cfg

@@ -101,8 +101,6 @@ class DiffusionConfig:
 @dataclass
 class DiffusionDenoiser:
     config: DiffusionConfig
-    latent_shape: tuple[int, ...]
-    beta_shape: tuple[int, ...]
     params: dict[str, np.ndarray]
     ema_params: dict[str, np.ndarray]
     target_shift: np.ndarray  # elementwise mean of training betas
@@ -112,15 +110,11 @@ class DiffusionDenoiser:
 
 
 def _init_denoiser(
-    config: DiffusionConfig,
-    latent_shape: tuple[int, ...],
-    beta_shape: tuple[int, ...],
-    shift: np.ndarray,
-    scale: np.ndarray,
+    config: DiffusionConfig, n_latent: int, shift: np.ndarray, scale: np.ndarray,
     timesteps: int,
 ) -> DiffusionDenoiser:
-    n_beta = int(np.prod(beta_shape))
-    d_in = n_beta + int(np.prod(latent_shape)) + 1 + config.embed_width
+    n_beta = shift.size
+    d_in = n_beta + n_latent + 1 + config.embed_width
     h = config.hidden_width
     rng = np.random.default_rng(config.seed)
     # Zero output head: the untrained denoiser predicts zero noise.
@@ -132,12 +126,10 @@ def _init_denoiser(
     }
     return DiffusionDenoiser(
         config=config,
-        latent_shape=tuple(latent_shape),
-        beta_shape=tuple(beta_shape),
         params=params,
         ema_params={k: v.copy() for k, v in params.items()},
-        target_shift=shift.astype(np.float64).ravel(),
-        target_scale=scale.astype(np.float64).ravel(),
+        target_shift=shift,
+        target_scale=scale,
         timesteps=timesteps,
     )
 
@@ -223,14 +215,8 @@ def ema_update(denoiser: DiffusionDenoiser) -> None:
         denoiser.ema_params[k] = d * denoiser.ema_params[k] + (1.0 - d) * v
 
 
-def standardize_target(denoiser: DiffusionDenoiser, beta) -> np.ndarray:
-    flat = np.asarray(beta, dtype=np.float64).reshape(-1)
-    return (flat - denoiser.target_shift) / denoiser.target_scale
-
-
 def destandardize_target(denoiser: DiffusionDenoiser, x_std) -> np.ndarray:
-    flat = np.asarray(x_std, dtype=np.float64).reshape(-1)
-    return (flat * denoiser.target_scale + denoiser.target_shift).reshape(denoiser.beta_shape)
+    return np.asarray(x_std, dtype=np.float64) * denoiser.target_scale + denoiser.target_shift
 
 
 def train_diffusion_prior(
@@ -240,16 +226,14 @@ def train_diffusion_prior(
     schedule.validate()
     if not triplets:
         raise ValueError("no training triplets")
-    latents = np.stack([np.asarray(t.latent, dtype=np.float64) for t in triplets])
+    n = len(triplets)
+    latents = np.stack([np.asarray(t.latent, dtype=np.float64) for t in triplets]).reshape(n, -1)
     ages = np.array([t.age for t in triplets], dtype=np.float64)
-    betas = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets])
-    beta_flat = betas.reshape(len(triplets), -1)
+    beta_flat = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets]).reshape(n, -1)
     shift = beta_flat.mean(axis=0)
     scale = np.maximum(beta_flat.std(axis=0), _SCALE_FLOOR)
 
-    denoiser = _init_denoiser(
-        config, latents.shape[1:], betas.shape[1:], shift, scale, schedule.timesteps
-    )
+    denoiser = _init_denoiser(config, latents.shape[1], shift, scale, schedule.timesteps)
     targets = (beta_flat - shift) / scale
 
     def step(idx, rng):
@@ -259,7 +243,7 @@ def train_diffusion_prior(
         return loss_and_grads(denoiser, noised, latents[idx], ages[idx], t, eps)
 
     denoiser.loss_curve = optim.train(
-        denoiser.params, len(triplets), config, step, lambda: ema_update(denoiser)
+        denoiser.params, n, config, step, lambda: ema_update(denoiser)
     )
     return denoiser
 
@@ -275,7 +259,7 @@ def ancestral_sample(
     """Run the reverse chain from pure noise; deterministic given seed.
 
     Draw order from ``default_rng(seed)``: the start state, then one noise
-    grid per step from T down to 2 (the final step adds no noise).  With
+    draw per step from T down to 2 (the final step adds no noise).  With
     ``sample_noise=False`` only the start state is drawn.  A trainable
     denoiser runs in its standardized target space using EMA weights and
     the output is destandardized; a plain callable (x, z, a, t) runs the
@@ -287,7 +271,7 @@ def ancestral_sample(
     if trained:
         if schedule.timesteps != denoiser.timesteps:
             raise ValueError("schedule length does not match the denoiser")
-        chain_shape: tuple[int, ...] = (int(np.prod(denoiser.beta_shape)),)
+        chain_shape: tuple[int, ...] = denoiser.params["b_out"].shape
     elif shape is not None:
         chain_shape = tuple(shape)
     else:
@@ -330,8 +314,6 @@ def save_denoiser(denoiser: DiffusionDenoiser, tensor_path, meta_path) -> None:
     named["target_scale"] = denoiser.target_scale
     meta = {
         "config": asdict(denoiser.config),
-        "latent_shape": list(denoiser.latent_shape),
-        "beta_shape": list(denoiser.beta_shape),
         "timesteps": denoiser.timesteps,
         "loss_curve": denoiser.loss_curve,
     }
@@ -344,8 +326,6 @@ def load_denoiser(tensor_path, meta_path) -> DiffusionDenoiser:
     ema = {k[len("ema/"):]: v for k, v in named.items() if k.startswith("ema/")}
     return DiffusionDenoiser(
         config=DiffusionConfig(**meta["config"]),
-        latent_shape=tuple(meta["latent_shape"]),
-        beta_shape=tuple(meta["beta_shape"]),
         params=params,
         ema_params=ema,
         target_shift=named["target_shift"],

@@ -1,7 +1,7 @@
 """Explicit Gaussian prior over beta, amortized by a shallow network.
 
-Maps (flattened latent mean, normalized age) to an elementwise Gaussian
-(mu, log sigma^2) over the beta grid.  Output heads start at zero weights
+Maps (latent mean, normalized age) to an elementwise Gaussian
+(mu, log sigma^2) over the beta vector.  Output heads start at zero weights
 with biases set to the population mean/log-variance of the training betas,
 so the untrained network already reproduces the global prior and training
 can only sharpen it.
@@ -35,8 +35,6 @@ class GaussianPriorConfig:
 @dataclass
 class GaussianPriorNet:
     config: GaussianPriorConfig
-    latent_shape: tuple[int, ...]
-    beta_shape: tuple[int, ...]
     params: dict[str, np.ndarray]
     loss_curve: list[float] = field(default_factory=list)
 
@@ -60,28 +58,21 @@ def gaussian_prior_loss(pred_mean, pred_logvar, target_beta, nll_weight: float) 
 
 
 def _init_net(
-    config: GaussianPriorConfig,
-    latent_shape: tuple[int, ...],
-    beta_shape: tuple[int, ...],
-    beta_mean: np.ndarray,
-    beta_logvar: np.ndarray,
+    config: GaussianPriorConfig, n_latent: int, beta_mean: np.ndarray, beta_logvar: np.ndarray
 ) -> GaussianPriorNet:
-    d_in = int(np.prod(latent_shape)) + 1
-    n_out = int(np.prod(beta_shape))
+    d_in = n_latent + 1
+    n_out = beta_mean.size
     h = config.hidden_width
     rng = np.random.default_rng(config.seed)
     params = {
         "w_hidden": rng.standard_normal((h, d_in)) / np.sqrt(d_in),
         "b_hidden": np.zeros(h),
         "w_mean": np.zeros((n_out, h)),
-        "b_mean": beta_mean.ravel().astype(np.float64).copy(),
+        "b_mean": beta_mean,
         "w_logvar": np.zeros((n_out, h)),
-        "b_logvar": beta_logvar.ravel().astype(np.float64).copy(),
+        "b_logvar": beta_logvar,
     }
-    return GaussianPriorNet(
-        config=config, latent_shape=tuple(latent_shape), beta_shape=tuple(beta_shape),
-        params=params,
-    )
+    return GaussianPriorNet(config=config, params=params)
 
 
 def _forward(net: GaussianPriorNet, x: np.ndarray):
@@ -92,7 +83,7 @@ def _forward(net: GaussianPriorNet, x: np.ndarray):
     return mu, lv, h
 
 
-def _inputs(net: GaussianPriorNet, latents: np.ndarray, ages: np.ndarray) -> np.ndarray:
+def _inputs(latents: np.ndarray, ages: np.ndarray) -> np.ndarray:
     b = latents.shape[0]
     z = latents.reshape(b, -1)
     return np.concatenate([z, normalize_age(ages).reshape(b, 1)], axis=1)
@@ -104,7 +95,7 @@ def loss_and_grads(
     """Batch loss and hand-derived parameter gradients."""
     p = net.params
     b = latents.shape[0]
-    x = _inputs(net, np.asarray(latents, dtype=np.float64), np.asarray(ages))
+    x = _inputs(np.asarray(latents, dtype=np.float64), np.asarray(ages))
     beta = np.asarray(betas, dtype=np.float64).reshape(b, -1)
     mu, lv, h = _forward(net, x)
     if not (np.isfinite(mu).all() and np.isfinite(lv).all()):
@@ -137,44 +128,35 @@ def train_gaussian_prior(
     """Fit the amortized prior on (latent, age, beta) triplets."""
     if not triplets:
         raise ValueError("no training triplets")
-    latents = np.stack([np.asarray(t.latent, dtype=np.float64) for t in triplets])
+    n = len(triplets)
+    latents = np.stack([np.asarray(t.latent, dtype=np.float64) for t in triplets]).reshape(n, -1)
     ages = np.array([t.age for t in triplets], dtype=np.float64)
-    betas = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets])
-    beta_flat = betas.reshape(len(triplets), -1)
+    beta_flat = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets]).reshape(n, -1)
 
     net = _init_net(
-        config,
-        latents.shape[1:],
-        betas.shape[1:],
-        beta_flat.mean(axis=0),
+        config, latents.shape[1], beta_flat.mean(axis=0),
         np.log(beta_flat.var(axis=0) + VARIANCE_FLOOR),
     )
     net.loss_curve = optim.train(
-        net.params, len(triplets), config,
+        net.params, n, config,
         lambda idx, rng: loss_and_grads(net, latents[idx], ages[idx], beta_flat[idx]),
     )
     return net
 
 
 def predict_gaussian_prior(net: GaussianPriorNet, latent, age: float) -> GaussianBelief:
-    """Amortized belief over beta for one scan."""
+    """Amortized belief over beta for one scan's latent vector."""
     z = np.asarray(latent, dtype=np.float64)
-    if tuple(z.shape) != net.latent_shape:
-        raise ValueError(f"latent shape {z.shape} != net input shape {net.latent_shape}")
-    x = _inputs(net, z[None], np.array([age]))
-    mu, lv, _ = _forward(net, x)
-    variance = np.maximum(np.exp(lv[0]), VARIANCE_FLOOR)
-    return GaussianBelief(
-        mean=mu[0].reshape(net.beta_shape),
-        variance=variance.reshape(net.beta_shape),
-    )
+    n_latent = net.params["w_hidden"].shape[1] - 1
+    if z.shape != (n_latent,):
+        raise ValueError(f"latent shape {z.shape} != net input ({n_latent},)")
+    mu, lv, _ = _forward(net, _inputs(z[None], np.array([age])))
+    return GaussianBelief(mean=mu[0], variance=np.maximum(np.exp(lv[0]), VARIANCE_FLOOR))
 
 
 def save_gaussian_prior(net: GaussianPriorNet, tensor_path, meta_path) -> None:
     meta = {
         "config": asdict(net.config),
-        "latent_shape": list(net.latent_shape),
-        "beta_shape": list(net.beta_shape),
         "loss_curve": net.loss_curve,
     }
     save_with_meta(tensor_path, meta_path, net.params, meta)
@@ -184,8 +166,6 @@ def load_gaussian_prior(tensor_path, meta_path) -> GaussianPriorNet:
     params, meta = load_with_meta(tensor_path, meta_path)
     return GaussianPriorNet(
         config=GaussianPriorConfig(**meta["config"]),
-        latent_shape=tuple(meta["latent_shape"]),
-        beta_shape=tuple(meta["beta_shape"]),
         params=params,
         loss_curve=list(meta["loss_curve"]),
     )

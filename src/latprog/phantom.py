@@ -246,6 +246,8 @@ def validate_spec(spec: PhantomSpec) -> None:
     """Check intensity separation and geometric consistency at the extremes."""
     if spec.grid_size < 16:
         raise ValueError(f"grid_size {spec.grid_size} < 16")
+    if spec.noise_sigma < 0:
+        raise ValueError(f"noise_sigma {spec.noise_sigma} < 0")
     if not spec.regions:
         raise ValueError("spec has no regions")
     ids = spec.region_ids()

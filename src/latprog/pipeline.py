@@ -155,8 +155,7 @@ def stage_encode(cfg: RunConfig, out: Path) -> None:
             "ages": list(subject.ages()),
         }
     write_tensors(out / "latents" / "latents.mrxt", named)
-    meta = {"latent_shape": list(model.latent_shape), "subjects": subjects_meta}
-    (out / "latents" / "latents.json").write_text(canonical_json(meta))
+    (out / "latents" / "latents.json").write_text(canonical_json({"subjects": subjects_meta}))
 
 
 def stage_fit_betas(cfg: RunConfig, out: Path) -> None:

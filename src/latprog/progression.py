@@ -19,7 +19,7 @@ VARIANCE_FLOOR = 1e-8
 
 @dataclass
 class GaussianBelief:
-    """Elementwise (diagonal) Gaussian over a beta grid."""
+    """Elementwise (diagonal) Gaussian over a beta vector."""
 
     mean: np.ndarray
     variance: np.ndarray

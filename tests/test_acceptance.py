@@ -190,7 +190,7 @@ def test_criterion_4_analytic_gradients():
                        init="random", seed=2)
         model = init_model(cfg, (8, 8, 8))
         x = np.stack(smooth_volumes(rng, 2))
-        eps = rng.normal(0.0, 1.0, (2, int(np.prod(model.latent_shape))))
+        eps = rng.normal(0.0, 1.0, (2, model.n_latent))
         _, grads = ae_loss_and_grads(model, x, eps)
         _check_param_grads(
             model.params, grads,

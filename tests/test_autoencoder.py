@@ -5,13 +5,13 @@ import pytest
 
 import oracles
 from latprog.autoencoder import (
+    LATENT_DIM,
     AEConfig,
     ae_loss,
     decode,
     encode,
     init_model,
     kl_divergence,
-    latent_shape_for,
     load_model,
     loss_and_grads,
     reconstruct,
@@ -35,17 +35,26 @@ def smooth_volumes(rng, n, shape=(8, 8, 8)):
     return vols
 
 
-def test_latent_shape_rule():
-    assert latent_shape_for((32, 32, 32)) == (4, 4, 4, 4)
-    assert latent_shape_for((8, 8, 8)) == (4, 1, 1, 1)
-    with pytest.raises(ValueError):
-        latent_shape_for((30, 32, 32))
+@pytest.mark.parametrize("grid", [20, 24, 32])
+def test_latent_is_a_flat_vector_at_any_grid(grid, rng):
+    shape = (grid,) * 3
+    model = init_model(AEConfig(init="random", seed=1), shape)
+    assert model.n_latent == LATENT_DIM
+    x = rng.random(shape)
+    z = encode(model, x).mean
+    assert z.shape == (LATENT_DIM,)
+    assert decode(model, z).shape == shape
+
+    vols = rng.random((LATENT_DIM + 4,) + shape)
+    pca = init_model(AEConfig(init="pca"), shape, train_volumes=vols)
+    assert pca.n_latent == LATENT_DIM
+    np.testing.assert_allclose(np.linalg.norm(pca.params["enc_w_mean"], axis=1), 1.0)
 
 
 def test_zero_init_encodes_to_zero_mean(rng):
     model = init_model(AEConfig(init="zeros"), (8, 8, 8))
     dist = encode(model, rng.random((8, 8, 8)))
-    assert np.array_equal(dist.mean, np.zeros((4, 1, 1, 1)))
+    assert np.array_equal(dist.mean, np.zeros(LATENT_DIM))
 
 
 def test_reconstruction_shape(tiny_model, rng):
@@ -62,8 +71,8 @@ def test_encode_decode_shape_validation(tiny_model, rng):
 
 def test_affine_decoder_is_affine(tiny_model, rng):
     # superposition up to the shared bias
-    z1 = rng.normal(0.0, 1.0, (4, 1, 1, 1))
-    z2 = rng.normal(0.0, 1.0, (4, 1, 1, 1))
+    z1 = rng.normal(0.0, 1.0, LATENT_DIM)
+    z2 = rng.normal(0.0, 1.0, LATENT_DIM)
     alpha = 0.3
     blend = decode(tiny_model, alpha * z1 + (1 - alpha) * z2)
     parts = alpha * decode(tiny_model, z1) + (1 - alpha) * decode(tiny_model, z2)
@@ -112,8 +121,7 @@ def test_gradients_match_finite_differences(architecture, rng):
                    init="random", seed=2)
     model = init_model(cfg, (8, 8, 8))
     x = np.stack(smooth_volumes(rng, 2))
-    n_latent = int(np.prod(model.latent_shape))
-    eps = rng.normal(0.0, 1.0, (2, n_latent))
+    eps = rng.normal(0.0, 1.0, (2, model.n_latent))
 
     _, grads = loss_and_grads(model, x, eps)
     h = 1e-5
@@ -192,7 +200,7 @@ def test_divergence_raises():
 
 
 def test_pca_init_reconstructs_low_rank_data(rng):
-    # 3 volumes span rank <= 3 after centering; 4 latent dims suffice
+    # 3 volumes span rank <= 3 after centering; LATENT_DIM latent dims suffice
     vols = smooth_volumes(rng, 3)
     model = init_model(
         AEConfig(init="pca"), (8, 8, 8), train_volumes=np.stack(vols)

@@ -200,7 +200,7 @@ def test_collinearity_needs_three_scans():
 
 
 def test_interpolation_constant_series_convention(tiny_model, spec32):
-    z = np.random.default_rng(3).normal(0.0, 1.0, tiny_model.latent_shape)
+    z = np.random.default_rng(3).normal(0.0, 1.0, tiny_model.n_latent)
     report = interpolation_linearity(tiny_model, z, z, spec32, n_alphas=5)
     np.testing.assert_allclose(report.alphas, np.linspace(0.0, 1.0, 5))
     for name in report.r2:
@@ -214,8 +214,8 @@ def test_interpolation_endpoints_match_direct_decode(tiny_model, spec32):
     from latprog.autoencoder import decode
 
     rng = np.random.default_rng(8)
-    z1 = rng.normal(0.0, 1.0, tiny_model.latent_shape)
-    z2 = rng.normal(0.0, 1.0, tiny_model.latent_shape)
+    z1 = rng.normal(0.0, 1.0, tiny_model.n_latent)
+    z2 = rng.normal(0.0, 1.0, tiny_model.n_latent)
     report = interpolation_linearity(tiny_model, z1, z2, spec32, n_alphas=3)
     # alpha = 0 decodes z2, alpha = 1 decodes z1
     for z, pos in ((z2, 0), (z1, -1)):
@@ -334,11 +334,11 @@ def _latent_means(model, cohort):
 
 
 def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
-    latent_shape = flat_model.latent_shape
+    n_latent = flat_model.n_latent
     prior = GaussianBelief(
-        mean=np.zeros(latent_shape), variance=np.ones(latent_shape)
+        mean=np.zeros(n_latent), variance=np.ones(n_latent)
     )
-    noise = ObservationNoise(variance=np.full(latent_shape, 0.25))
+    noise = ObservationNoise(variance=np.full(n_latent, 0.25))
     rows, summary = multiscan_curve(
         flat_model, protocol_cohort, _latent_means(flat_model, protocol_cohort), prior, noise
     )
@@ -361,9 +361,9 @@ def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
 
 
 def test_multiscan_curve_without_regression(protocol_cohort, flat_model):
-    latent_shape = flat_model.latent_shape
-    prior = GaussianBelief(mean=np.zeros(latent_shape), variance=np.ones(latent_shape))
-    noise = ObservationNoise(variance=np.full(latent_shape, 0.25))
+    n_latent = flat_model.n_latent
+    prior = GaussianBelief(mean=np.zeros(n_latent), variance=np.ones(n_latent))
+    noise = ObservationNoise(variance=np.full(n_latent, 0.25))
     rows, summary = multiscan_curve(
         flat_model, protocol_cohort, _latent_means(flat_model, protocol_cohort), prior, noise,
         include_regression=False,
@@ -376,8 +376,8 @@ def test_multiscan_curve_requires_eligible_subjects(spec32, flat_model):
     short = phantom.generate_cohort(
         spec32, 3, scans_per_subject=(2, 3), age_spacing=(0.8, 1.0), seed=2
     )
-    latent_shape = flat_model.latent_shape
-    prior = GaussianBelief(mean=np.zeros(latent_shape), variance=np.ones(latent_shape))
-    noise = ObservationNoise(variance=np.full(latent_shape, 0.25))
+    n_latent = flat_model.n_latent
+    prior = GaussianBelief(mean=np.zeros(n_latent), variance=np.ones(n_latent))
+    noise = ObservationNoise(variance=np.full(n_latent, 0.25))
     with pytest.raises(ValueError, match="no eligible subjects"):
         multiscan_curve(flat_model, short, _latent_means(flat_model, short), prior, noise)

@@ -232,8 +232,11 @@ def test_unknown_config_key_reported(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", [
     ({"cohort": {"n_subjects": "4"}}, "error: cohort.n_subjects must be an integer, got '4'"),
-    ({"cohort": {"grid_size": 36}}, "error: cohort.grid_size: volume dims must be divisible by 8"),
-], ids=["wrong-type", "grid-size"])
+    ({"cohort": {"grid_size": 16}}, "error: cohort.grid_size: geometry overflow"),
+    ({"cohort": {"noise_sigma": 0.1}}, "error: cohort.noise_sigma: intensity gap"),
+    ({"cohort": {"noise_sigma": -0.1}}, "error: cohort.noise_sigma: noise_sigma -0.1 < 0"),
+    ({"cohort": {"grid_size": 16, "noise_sigma": 0.1}}, "error: cohort.grid_size: geometry overflow"),
+], ids=["wrong-type", "grid-16", "noise-0.1", "negative-noise", "grid-16-noise-0.1"])
 def test_bad_config_value_rejected_before_any_work(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))
@@ -242,6 +245,24 @@ def test_bad_config_value_rejected_before_any_work(tmp_path, capsys, doc, messag
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith(message)
     assert not (tmp_path / "o").exists()
+
+
+def test_grid_not_a_multiple_of_eight_runs_end_to_end(tmp_path):
+    cfg_path = tmp_path / "grid20.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 2,
+        "cohort": {"n_subjects": 4, "grid_size": 20, "scans_per_subject": [2, 3]},
+        "autoencoder": {"epochs": 0},
+    }))
+    out = tmp_path / "out"
+    for stage in ("generate-cohort", "train-ae", "encode"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
+
+    from latprog.autoencoder import LATENT_DIM
+    from latprog.tensorfile import read_tensors
+
+    latents = read_tensors(out / "latents/latents.mrxt")
+    assert latents and all(z.shape == (LATENT_DIM,) for z in latents.values())
 
 
 def test_threads_must_be_positive(tmp_path, capsys):

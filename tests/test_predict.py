@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latprog.autoencoder import decode, encode, reconstruct
+from latprog.autoencoder import LATENT_DIM, decode, encode, reconstruct
 from latprog.progression import (
     BELIEF_SOURCES,
     GaussianBelief,
@@ -14,7 +14,7 @@ from latprog.progression import (
     resolve_beta,
 )
 
-LSHAPE = (4, 1, 1, 1)
+LSHAPE = (LATENT_DIM,)
 
 
 def belief(mu, var=1.0):

@@ -16,7 +16,6 @@ from latprog.diffusion import (
     load_denoiser,
     sample_beta_averaged,
     save_denoiser,
-    standardize_target,
     destandardize_target,
     timestep_embedding,
     train_diffusion_prior,
@@ -34,8 +33,8 @@ from latprog.gaussian_prior import (
 )
 from latprog.progression import VARIANCE_FLOOR, TrainingTriplet
 
-SHAPE = (2, 2, 2, 2)
 DIM = 16
+SHAPE = (DIM,)  # the priors map latent vectors to beta vectors
 
 
 def make_triplets(n, seed, beta_fn=None):
@@ -236,8 +235,8 @@ def test_gaussian_save_load_roundtrip(tmp_path):
     loaded = load_gaussian_prior(tmp_path / "g.mrxt", tmp_path / "g.json")
 
     assert loaded.config == net.config
-    assert loaded.latent_shape == net.latent_shape
-    assert loaded.beta_shape == net.beta_shape
+    for k in ("w_hidden", "b_mean", "b_logvar"):  # latent width + 1, beta width twice
+        assert loaded.params[k].shape == net.params[k].shape, k
     z = np.full(SHAPE, -0.4)
     a, b = predict_gaussian_prior(net, z, 81.0), predict_gaussian_prior(loaded, z, 81.0)
     np.testing.assert_allclose(b.mean, a.mean, rtol=1e-5, atol=1e-7)
@@ -449,7 +448,7 @@ def test_standardize_roundtrip_and_stats():
     np.testing.assert_allclose(den.target_scale, betas.std(axis=0), rtol=1e-12)
 
     beta = trips[3].beta
-    std = standardize_target(den, beta)
+    std = (beta - den.target_shift) / den.target_scale
     np.testing.assert_allclose(destandardize_target(den, std), beta, atol=1e-12)
 
 
@@ -459,7 +458,8 @@ def test_scale_floor_on_constant_targets():
         trips, NoiseSchedule.linear(timesteps=5), make_diffusion_config(epochs=0)
     )
     assert np.all(den.target_scale >= 1e-4)
-    assert np.all(np.isfinite(standardize_target(den, trips[0].beta)))
+    std = (trips[0].beta - den.target_shift) / den.target_scale
+    assert np.all(np.isfinite(std))
 
 
 def test_ema_update_formula():
@@ -553,7 +553,8 @@ def test_denoiser_save_load_roundtrip(tmp_path):
 
     assert loaded.config == den.config
     assert loaded.timesteps == den.timesteps
-    assert loaded.beta_shape == den.beta_shape
+    for k in ("w_hidden", "b_out"):  # beta + latent + age + embedding width, beta width
+        assert loaded.params[k].shape == den.params[k].shape, k
     assert loaded.loss_curve == pytest.approx(den.loss_curve)
     np.testing.assert_allclose(loaded.target_shift, den.target_shift, rtol=1e-6)
 
