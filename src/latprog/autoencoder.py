@@ -1,10 +1,10 @@
 """KL-regularized autoencoder over 3D volumes, trained with numpy only.
 
-The architecture is deliberately small: an affine encoder/decoder pair by
-default (optionally one tanh hidden layer per side), mapping a cubic volume
-to a flat latent vector of ``LATENT_DIM`` floats.  An affine map is enough to
-expose linear-in-age structure in the latent space, and its gradients are
-derived by hand and checked against finite differences.
+The architecture is deliberately small: one affine encoder/decoder pair
+mapping a cubic volume to a flat latent vector of ``LATENT_DIM`` floats.  An
+affine map is enough to expose linear-in-age structure in the latent space,
+and its gradients are derived by hand and checked against finite
+differences.
 
 ``LATENT_DIM`` is sized to the signal, not to the grid: a phantom cohort
 varies along a handful of directions plus isotropic voxel noise, and on the
@@ -31,13 +31,12 @@ from .ssim import ssim3d, ssim3d_with_grad
 from .tensorfile import load_with_meta, save_with_meta
 
 LATENT_DIM = 8
+INITS = ("pca", "random", "zeros")
 _LOGVAR_INIT = -6.0
 
 
 @dataclass(frozen=True)
 class AEConfig:
-    architecture: str = "affine"  # "affine" | "mlp"
-    hidden_width: int = 64  # mlp only
     gamma_kl: float = 1e-5
     ssim_weight: float = 1.0
     ssim_window: int = 7
@@ -45,7 +44,7 @@ class AEConfig:
     learning_rate: float = 1e-4
     epochs: int = 12
     batch_size: int = 16
-    init: str = "pca"  # "pca" | "random" | "zeros"
+    init: str = "pca"  # one of INITS
     sample_latent: bool = True
     rmsprop_decay: float = 0.99
     seed: int = 0
@@ -99,86 +98,57 @@ def init_model(
 
     ``init="pca"`` seeds the affine maps with principal components of the
     training volumes, which starts training from a strong least-squares
-    reconstruction; it requires ``train_volumes`` and the affine
-    architecture.  Its ``dec_w`` is the transposed view of ``enc_w_mean``,
-    not a copy: the two weights stay tied through training, and every
-    optimizer step applies both of their updates to the one shared buffer.
+    reconstruction; it requires ``train_volumes``.  Its ``dec_w`` is the
+    transposed view of ``enc_w_mean``, not a copy: the two weights stay tied
+    through training, and every optimizer step applies both of their updates
+    to the one shared buffer.
     """
     d = int(np.prod(input_shape))
     n_lat = LATENT_DIM
     rng = np.random.default_rng(config.seed)
-    params: dict[str, np.ndarray] = {}
 
-    if config.architecture == "affine":
-        if config.init == "zeros":
-            w_mean = np.zeros((n_lat, d))
-            b_mean = np.zeros(n_lat)
-            dec_w = np.zeros((d, n_lat))
-            dec_b = np.zeros(d)
-            b_logvar = np.zeros(n_lat)
-        elif config.init == "random":
-            w_mean = rng.standard_normal((n_lat, d)) / np.sqrt(d)
-            b_mean = np.zeros(n_lat)
-            dec_w = rng.standard_normal((d, n_lat)) / np.sqrt(n_lat)
-            dec_b = np.zeros(d)
-            b_logvar = np.full(n_lat, _LOGVAR_INIT)
-        elif config.init == "pca":
-            if train_volumes is None:
-                raise ValueError("init='pca' needs training volumes")
-            x = np.asarray(train_volumes, dtype=np.float64).reshape(len(train_volumes), d)
-            mean = x.mean(axis=0)
-            _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
-            k = min(vt.shape[0], n_lat)
-            comps = np.zeros((n_lat, d))
-            comps[:k] = _fix_signs(vt[:k])
-            w_mean = comps
-            b_mean = -comps @ mean
-            dec_w = comps.T
-            dec_b = mean
-            b_logvar = np.full(n_lat, _LOGVAR_INIT)
-        else:
-            raise ValueError(f"unknown init {config.init!r}")
-        params["enc_w_mean"] = w_mean
-        params["enc_b_mean"] = b_mean
-        params["enc_b_logvar"] = b_logvar
-        params["dec_w"] = dec_w
-        params["dec_b"] = dec_b
-    elif config.architecture == "mlp":
-        if config.init == "pca":
-            raise ValueError("init='pca' is only defined for the affine architecture")
-        h = config.hidden_width
-        scale = 0.0 if config.init == "zeros" else 1.0
-        params["enc_w_hidden"] = scale * rng.standard_normal((h, d)) / np.sqrt(d)
-        params["enc_b_hidden"] = np.zeros(h)
-        params["enc_w_mean"] = scale * rng.standard_normal((n_lat, h)) / np.sqrt(h)
-        params["enc_b_mean"] = np.zeros(n_lat)
-        params["enc_b_logvar"] = np.zeros(n_lat) if config.init == "zeros" else np.full(n_lat, _LOGVAR_INIT)
-        params["dec_w_hidden"] = scale * rng.standard_normal((h, n_lat)) / np.sqrt(n_lat)
-        params["dec_b_hidden"] = np.zeros(h)
-        params["dec_w_out"] = scale * rng.standard_normal((d, h)) / np.sqrt(h)
-        params["dec_b_out"] = np.zeros(d)
+    if config.init == "zeros":
+        w_mean = np.zeros((n_lat, d))
+        b_mean = np.zeros(n_lat)
+        dec_w = np.zeros((d, n_lat))
+        dec_b = np.zeros(d)
+        b_logvar = np.zeros(n_lat)
+    elif config.init == "random":
+        w_mean = rng.standard_normal((n_lat, d)) / np.sqrt(d)
+        b_mean = np.zeros(n_lat)
+        dec_w = rng.standard_normal((d, n_lat)) / np.sqrt(n_lat)
+        dec_b = np.zeros(d)
+        b_logvar = np.full(n_lat, _LOGVAR_INIT)
+    elif config.init == "pca":
+        if train_volumes is None:
+            raise ValueError("init='pca' needs training volumes")
+        x = np.asarray(train_volumes, dtype=np.float64).reshape(len(train_volumes), d)
+        mean = x.mean(axis=0)
+        _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
+        k = min(vt.shape[0], n_lat)
+        comps = np.zeros((n_lat, d))
+        comps[:k] = _fix_signs(vt[:k])
+        w_mean = comps
+        b_mean = -comps @ mean
+        dec_w = comps.T
+        dec_b = mean
+        b_logvar = np.full(n_lat, _LOGVAR_INIT)
     else:
-        raise ValueError(f"unknown architecture {config.architecture!r}")
+        raise ValueError(f"unknown init {config.init!r}; one of {INITS}")
+    params = dict(enc_w_mean=w_mean, enc_b_mean=b_mean, enc_b_logvar=b_logvar,
+                  dec_w=dec_w, dec_b=dec_b)
     return AEModel(config=config, input_shape=tuple(input_shape), params=params)
 
 
-def _encode_batch(model: AEModel, x_flat: np.ndarray):
+def _encode_batch(model: AEModel, x_flat: np.ndarray) -> np.ndarray:
     """Latent means; the log-variance is ``enc_b_logvar`` for every input."""
-    p, cfg = model.params, model.config
-    if cfg.architecture == "affine":
-        return x_flat @ p["enc_w_mean"].T + p["enc_b_mean"], {}
-    pre = x_flat @ p["enc_w_hidden"].T + p["enc_b_hidden"]
-    h = np.tanh(pre)
-    return h @ p["enc_w_mean"].T + p["enc_b_mean"], {"enc_h": h}
+    p = model.params
+    return x_flat @ p["enc_w_mean"].T + p["enc_b_mean"]
 
 
-def _decode_batch(model: AEModel, z: np.ndarray):
-    p, cfg = model.params, model.config
-    if cfg.architecture == "affine":
-        return z @ p["dec_w"].T + p["dec_b"], {}
-    pre = z @ p["dec_w_hidden"].T + p["dec_b_hidden"]
-    h = np.tanh(pre)
-    return h @ p["dec_w_out"].T + p["dec_b_out"], {"dec_h": h}
+def _decode_batch(model: AEModel, z: np.ndarray) -> np.ndarray:
+    p = model.params
+    return z @ p["dec_w"].T + p["dec_b"]
 
 
 def encode(model: AEModel, volume: np.ndarray) -> EncodedDistribution:
@@ -186,7 +156,7 @@ def encode(model: AEModel, volume: np.ndarray) -> EncodedDistribution:
     if tuple(volume.shape) != model.input_shape:
         raise ValueError(f"volume shape {volume.shape} != model {model.input_shape}")
     x = np.asarray(volume, dtype=np.float64).reshape(1, -1)
-    z_mu, _ = _encode_batch(model, x)
+    z_mu = _encode_batch(model, x)
     return EncodedDistribution(mean=z_mu[0], log_variance=model.params["enc_b_logvar"].copy())
 
 
@@ -194,7 +164,7 @@ def decode(model: AEModel, latent: np.ndarray) -> np.ndarray:
     """Decode a latent vector to a volume."""
     if latent.shape != (model.n_latent,):
         raise ValueError(f"latent shape {latent.shape} != model ({model.n_latent},)")
-    x_hat, _ = _decode_batch(model, np.asarray(latent, dtype=np.float64)[None])
+    x_hat = _decode_batch(model, np.asarray(latent, dtype=np.float64)[None])
     return x_hat[0].reshape(model.input_shape)
 
 
@@ -241,14 +211,14 @@ def loss_and_grads(
     d = model.n_voxels
     x_flat = np.asarray(x_batch, dtype=np.float64).reshape(b, d)
 
-    z_mu, enc_cache = _encode_batch(model, x_flat)
+    z_mu = _encode_batch(model, x_flat)
     z_lv = np.broadcast_to(p["enc_b_logvar"], z_mu.shape)
     if eps is not None:
         sigma = np.exp(0.5 * z_lv)
         z = z_mu + sigma * eps
     else:
         z = z_mu
-    x_hat, dec_cache = _decode_batch(model, z)
+    x_hat = _decode_batch(model, z)
 
     if not np.isfinite(x_hat).all():
         raise RuntimeError("training diverged: non-finite reconstruction")
@@ -271,21 +241,13 @@ def loss_and_grads(
     ssim_term = ssim_sum / b
     total = l1 + cfg.ssim_weight * ssim_term + cfg.gamma_kl * kl
 
-    grads: dict[str, np.ndarray] = {}
-    # Decoder backward.
-    if cfg.architecture == "affine":
-        # dec_w's own memory order (Fortran under the PCA tie), for the optimizer
-        grads["dec_w"] = np.matmul(d_xhat.T, z, out=np.empty_like(p["dec_w"]))
-        grads["dec_b"] = d_xhat.sum(axis=0)
-        d_z = d_xhat @ p["dec_w"]
-    else:
-        h = dec_cache["dec_h"]
-        grads["dec_w_out"] = d_xhat.T @ h
-        grads["dec_b_out"] = d_xhat.sum(axis=0)
-        d_h = (d_xhat @ p["dec_w_out"]) * (1.0 - h * h)
-        grads["dec_w_hidden"] = d_h.T @ z
-        grads["dec_b_hidden"] = d_h.sum(axis=0)
-        d_z = d_h @ p["dec_w_hidden"]
+    # Decoder backward; dec_w's gradient in dec_w's own memory order (Fortran
+    # under the PCA tie), for the optimizer.
+    grads = {
+        "dec_w": np.matmul(d_xhat.T, z, out=np.empty_like(p["dec_w"])),
+        "dec_b": d_xhat.sum(axis=0),
+    }
+    d_z = d_xhat @ p["dec_w"]
 
     # Through the reparameterization and KL.
     d_zmu = d_z + cfg.gamma_kl * z_mu / b
@@ -297,14 +259,7 @@ def loss_and_grads(
     # Encoder backward.
     grads["enc_b_mean"] = d_zmu.sum(axis=0)
     grads["enc_b_logvar"] = d_zlv.sum(axis=0)
-    if cfg.architecture == "affine":
-        grads["enc_w_mean"] = d_zmu.T @ x_flat
-    else:
-        h = enc_cache["enc_h"]
-        grads["enc_w_mean"] = d_zmu.T @ h
-        d_h = (d_zmu @ p["enc_w_mean"]) * (1.0 - h * h)
-        grads["enc_w_hidden"] = d_h.T @ x_flat
-        grads["enc_b_hidden"] = d_h.sum(axis=0)
+    grads["enc_w_mean"] = d_zmu.T @ x_flat
 
     terms = AELossTerms(total=total, l1=l1, ssim=ssim_term, kl=kl)
     return terms, grads
@@ -352,7 +307,7 @@ def save_model(model: AEModel, tensor_path, meta_path) -> None:
 def load_model(tensor_path, meta_path) -> AEModel:
     params, meta = load_with_meta(tensor_path, meta_path)
     config = AEConfig(**meta["config"])
-    if config.architecture == "affine" and "dec_w" not in params:
+    if "dec_w" not in params:
         params["dec_w"] = params["enc_w_mean"].T  # the PCA tie, restored
     return AEModel(
         config=config,

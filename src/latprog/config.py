@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import phantom
-from .autoencoder import AEConfig
-from .diffusion import DiffusionConfig
+from .autoencoder import INITS, AEConfig
+from .diffusion import DiffusionConfig, NoiseSchedule, timestep_embedding
 from .errors import ConfigError
 from .gaussian_prior import GaussianPriorConfig
+from .progression import BELIEF_SOURCES
+from .ssim import check_window
 
 # Per-stage seed offsets from the master seed.
 SEED_OFFSETS = {
@@ -108,7 +110,9 @@ def _check(value, tp, path: str):
 
 # Lowest value of each count, by field name in any section; `epochs: 0` keeps the init.
 _MINIMUMS = {"n_subjects": 1, "grid_size": 1, "batch_size": 1, "hidden_width": 1,
-             "timesteps": 1, "k_samples": 1, "epochs": 0}
+             "timesteps": 1, "k_samples": 1, "embed_width": 0, "epochs": 0}
+# Allowed values of each choice, by field name in any section; a list checks each item.
+_CHOICES = {"init": INITS, "predict_sources": BELIEF_SOURCES}
 
 
 def _build_section(cls, data: dict, path: str):
@@ -120,6 +124,10 @@ def _build_section(cls, data: dict, path: str):
     for key, value in values.items():
         if key in _MINIMUMS and value < _MINIMUMS[key]:
             raise ConfigError(f"{path}.{key} must be at least {_MINIMUMS[key]}, got {value}")
+        if key in _CHOICES:
+            for item in value if isinstance(value, tuple) else (value,):
+                if item not in _CHOICES[key]:
+                    raise ConfigError(f"{path}.{key}: {item!r} is not one of {_CHOICES[key]}")
     return cls(**values)
 
 
@@ -175,7 +183,14 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         data["seed"] = seed_override
         # CLI seed override re-derives all stage seeds unless sections pinned theirs.
     cfg = config_from_dict(data)
-    cp = cfg.cohort
+    _check_buildable(cfg)
+    return cfg
+
+
+def _check_buildable(cfg: RunConfig) -> None:
+    """Build or check what the stages will build from ``cfg``, so that a value
+    they would refuse fails here, as a ConfigError naming it, before any work."""
+    cp, sched = cfg.cohort, cfg.schedule
     try:
         phantom.default_spec(cp.grid_size, cp.noise_sigma)
     except ValueError as exc:
@@ -184,4 +199,13 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
         except ValueError as grid_exc:
             raise ConfigError(f"cohort.grid_size: {grid_exc}") from grid_exc
         raise ConfigError(f"cohort.noise_sigma: {exc}") from exc
-    return cfg
+    for path, build, args in [
+        ("autoencoder.ssim_window", check_window,
+         (cfg.autoencoder.ssim_window, (cp.grid_size,) * 3)),
+        ("diffusion.embed_width", timestep_embedding, (0, 1, cfg.diffusion.embed_width)),
+        ("schedule", NoiseSchedule.linear, (sched.timesteps, sched.beta_start, sched.beta_end)),
+    ]:
+        try:
+            build(*args)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc

@@ -12,15 +12,20 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 
+def check_window(window: int, shape: tuple[int, ...]) -> None:
+    """Raise unless ``window`` is odd, at least 3 and fits inside ``shape``."""
+    if window % 2 != 1 or window < 3:
+        raise ValueError(f"window must be odd and >= 3, got {window}")
+    if any(window > s for s in shape):
+        raise ValueError(f"window {window} larger than volume {shape}")
+
+
 def _check_inputs(x: np.ndarray, y: np.ndarray, window: int) -> None:
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 3:
         raise ValueError(f"expected 3D volumes, got {x.ndim}D")
-    if window % 2 != 1 or window < 3:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
-    if any(window > s for s in x.shape):
-        raise ValueError(f"window {window} larger than volume {x.shape}")
+    check_window(window, x.shape)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in input volumes")
 

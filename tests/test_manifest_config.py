@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latprog import phantom
+from latprog.autoencoder import INITS
 from latprog.config import (
     SEED_OFFSETS,
     RunConfig,
@@ -24,6 +27,7 @@ from latprog.manifest import (
     spec_from_dict,
     spec_to_dict,
 )
+from latprog.progression import BELIEF_SOURCES
 
 # ------------------------------------------------------------------ manifest
 
@@ -140,8 +144,9 @@ def test_pinned_section_seed_wins():
 def test_unknown_keys_fatal():
     with pytest.raises(ConfigError, match="unknown config key: bogus"):
         config_from_dict({"bogus": 1})
-    with pytest.raises(ConfigError, match="unknown config key: autoencoder.bogus"):
-        config_from_dict({"autoencoder": {"bogus": 1}})
+    for key in ("bogus", "architecture", "hidden_width"):
+        with pytest.raises(ConfigError, match=f"unknown config key: autoencoder.{key}"):
+            config_from_dict({"autoencoder": {key: 1}})
 
 
 def test_seed_type_checked():
@@ -185,7 +190,6 @@ def test_values_checked_against_annotations():
     ("cohort", "n_subjects", 1),
     ("cohort", "grid_size", 1),
     ("autoencoder", "batch_size", 1),
-    ("autoencoder", "hidden_width", 1),
     ("autoencoder", "epochs", 0),
     ("gaussian_prior", "batch_size", 1),
     ("gaussian_prior", "hidden_width", 1),
@@ -194,6 +198,7 @@ def test_values_checked_against_annotations():
     ("diffusion", "hidden_width", 1),
     ("diffusion", "epochs", 0),
     ("diffusion", "k_samples", 1),
+    ("diffusion", "embed_width", 0),
     ("schedule", "timesteps", 1),
 ])
 def test_counts_below_their_minimum_rejected(section, key, minimum):
@@ -202,6 +207,22 @@ def test_counts_below_their_minimum_rejected(section, key, minimum):
     message = rf"^{section}\.{key} must be at least {minimum}, got {minimum - 1}$"
     with pytest.raises(ConfigError, match=message):
         config_from_dict({section: {key: minimum - 1}})
+
+
+def test_every_listed_choice_accepted():
+    for init in INITS:
+        assert config_from_dict({"autoencoder": {"init": init}}).autoencoder.init == init
+    cfg = config_from_dict({"evaluation": {"predict_sources": list(BELIEF_SOURCES)}})
+    assert cfg.evaluation.predict_sources == BELIEF_SOURCES
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "example.json"
+    path.write_text(blocks[0])
+    assert load_config(path) == config_from_dict(json.loads(blocks[0]))
 
 
 def test_config_hash_stable_and_sensitive():

@@ -236,7 +236,23 @@ def test_unknown_config_key_reported(tmp_path, capsys):
     ({"cohort": {"noise_sigma": 0.1}}, "error: cohort.noise_sigma: intensity gap"),
     ({"cohort": {"noise_sigma": -0.1}}, "error: cohort.noise_sigma: noise_sigma -0.1 < 0"),
     ({"cohort": {"grid_size": 16, "noise_sigma": 0.1}}, "error: cohort.grid_size: geometry overflow"),
-], ids=["wrong-type", "grid-16", "noise-0.1", "negative-noise", "grid-16-noise-0.1"])
+    ({"autoencoder": {"architecture": "mlp"}}, "error: unknown config key: autoencoder.architecture"),
+    ({"autoencoder": {"init": "kaiming"}}, "error: autoencoder.init: 'kaiming' is not one of"),
+    ({"autoencoder": {"ssim_window": 4}}, "error: autoencoder.ssim_window: window must be odd"),
+    ({"autoencoder": {"ssim_window": 1}}, "error: autoencoder.ssim_window: window must be odd"),
+    ({"cohort": {"grid_size": 20}, "autoencoder": {"ssim_window": 21}},
+     "error: autoencoder.ssim_window: window 21 larger than volume (20, 20, 20)"),
+    ({"diffusion": {"embed_width": 5}}, "error: diffusion.embed_width: embedding width must be even"),
+    ({"diffusion": {"embed_width": -2}}, "error: diffusion.embed_width must be at least 0"),
+    ({"schedule": {"beta_end": 1.5}}, "error: schedule: invalid schedule: step betas"),
+    ({"schedule": {"beta_start": 0.0}}, "error: schedule: invalid schedule: step betas"),
+    ({"schedule": {"beta_start": 0.05}}, "error: schedule: invalid schedule: betas must be non-decreasing"),
+    ({"evaluation": {"predict_sources": ["global_prior", "oracle"]}},
+     "error: evaluation.predict_sources: 'oracle' is not one of"),
+], ids=["wrong-type", "grid-16", "noise-0.1", "negative-noise", "grid-16-noise-0.1",
+        "mlp", "init-kaiming", "even-window", "window-1", "window-above-grid", "odd-embed-width",
+        "negative-embed-width", "beta-end-1.5", "beta-start-0", "beta-start-above-end",
+        "unknown-source"])
 def test_bad_config_value_rejected_before_any_work(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))
