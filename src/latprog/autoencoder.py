@@ -89,6 +89,32 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def principal_components(x: np.ndarray, k: int):
+    """Top ``k`` principal components of the rows of ``x`` (n, d).
+
+    Returns ``(mean, centered, components, variances)``: the mean row, the
+    rows minus it, the components as ``k`` orthonormal rows of length d in
+    descending order of variance, signs fixed by ``_fix_signs``, and their
+    squared singular values.  They come from ``eigh`` of the n x n Gram
+    matrix of the centered rows, not from a thin SVD of the n x d matrix:
+    each component is ``v_i^T centered / sqrt(w_i)`` for an eigenpair
+    ``(w_i, v_i)``.  Eigenvalues at or below ``w_max * max(n, d) * eps`` are
+    rank deficiency: their rows stay zero with variance 0, as do the rows
+    past n when ``k > n``.
+    """
+    n, d = x.shape
+    mean = x.mean(axis=0)
+    centered = x - mean
+    w, v = np.linalg.eigh(centered @ centered.T)
+    w, v = w[::-1][:k], v[:, ::-1][:, :k]
+    rank = int(np.count_nonzero(w > w[0] * max(n, d) * np.finfo(np.float64).eps))
+    comps = np.zeros((k, d))
+    comps[:rank] = _fix_signs((v[:, :rank].T @ centered) / np.sqrt(w[:rank])[:, None])
+    variances = np.zeros(k)
+    variances[:rank] = w[:rank]
+    return mean, centered, comps, variances
+
+
 def init_model(
     config: AEConfig,
     input_shape: tuple[int, int, int],
@@ -98,7 +124,13 @@ def init_model(
 
     ``init="pca"`` seeds the affine maps with principal components of the
     training volumes, which starts training from a strong least-squares
-    reconstruction; it requires ``train_volumes``.  Its ``dec_w`` is the
+    reconstruction; it requires ``train_volumes``.  The components come from
+    ``eigh`` of the n x n Gram matrix of the n centered volumes, not from a
+    thin SVD of the n x d volume matrix (``principal_components``).  A
+    component whose eigenvalue is at or below ``w_max * max(n, d) * eps`` is
+    rank deficiency: its row stays zero, so fewer than ``LATENT_DIM + 1``
+    volumes, which span fewer than ``LATENT_DIM`` directions about their
+    mean, leave the rows past their rank zero.  Its ``dec_w`` is the
     transposed view of ``enc_w_mean``, not a copy: the two weights stay tied
     through training, and every optimizer step applies both of their updates
     to the one shared buffer.
@@ -123,11 +155,7 @@ def init_model(
         if train_volumes is None:
             raise ValueError("init='pca' needs training volumes")
         x = np.asarray(train_volumes, dtype=np.float64).reshape(len(train_volumes), d)
-        mean = x.mean(axis=0)
-        _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
-        k = min(vt.shape[0], n_lat)
-        comps = np.zeros((n_lat, d))
-        comps[:k] = _fix_signs(vt[:k])
+        mean, _, comps, _ = principal_components(x, n_lat)
         w_mean = comps
         b_mean = -comps @ mean
         dec_w = comps.T
@@ -305,8 +333,7 @@ def save_model(model: AEModel, tensor_path, meta_path) -> None:
 
 
 def load_model(tensor_path, meta_path) -> AEModel:
-    params, meta = load_with_meta(tensor_path, meta_path)
-    config = AEConfig(**meta["config"])
+    params, meta, config = load_with_meta(tensor_path, meta_path, AEConfig, "train-ae")
     if "dec_w" not in params:
         params["dec_w"] = params["enc_w_mean"].T  # the PCA tie, restored
     return AEModel(

@@ -321,11 +321,13 @@ def save_denoiser(denoiser: DiffusionDenoiser, tensor_path, meta_path) -> None:
 
 
 def load_denoiser(tensor_path, meta_path) -> DiffusionDenoiser:
-    named, meta = load_with_meta(tensor_path, meta_path)
+    named, meta, config = load_with_meta(
+        tensor_path, meta_path, DiffusionConfig, "fit-diffusion-prior"
+    )
     params = {k[len("param/"):]: v for k, v in named.items() if k.startswith("param/")}
     ema = {k[len("ema/"):]: v for k, v in named.items() if k.startswith("ema/")}
     return DiffusionDenoiser(
-        config=DiffusionConfig(**meta["config"]),
+        config=config,
         params=params,
         ema_params=ema,
         target_shift=named["target_shift"],

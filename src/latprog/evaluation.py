@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phantom
-from .autoencoder import AEModel, _fix_signs, decode
+from .autoencoder import AEModel, decode, principal_components
 from .progression import (
     GaussianBelief,
     ObservationNoise,
@@ -117,17 +117,13 @@ def pca_project(points, n_components: int = 2) -> PCAResult:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    centered = pts - pts.mean(axis=0)
+    _, centered, comps, variances = principal_components(pts, min(n_components, *pts.shape))
     total = float(np.sum(centered * centered)) / n
     if total == 0.0:
         raise ValueError("degenerate input: fewer than two distinct points")
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    k = min(n_components, vt.shape[0])
-    comps = _fix_signs(vt[:k])
-    ratios = (s[:k] ** 2 / n) / total
     return PCAResult(
         projections=centered @ comps.T,
-        explained_variance_ratio=ratios,
+        explained_variance_ratio=(variances / n) / total,
         components=comps,
     )
 

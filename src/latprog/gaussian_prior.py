@@ -163,9 +163,11 @@ def save_gaussian_prior(net: GaussianPriorNet, tensor_path, meta_path) -> None:
 
 
 def load_gaussian_prior(tensor_path, meta_path) -> GaussianPriorNet:
-    params, meta = load_with_meta(tensor_path, meta_path)
+    params, meta, config = load_with_meta(
+        tensor_path, meta_path, GaussianPriorConfig, "fit-gaussian-prior"
+    )
     return GaussianPriorNet(
-        config=GaussianPriorConfig(**meta["config"]),
+        config=config,
         params=params,
         loss_curve=list(meta["loss_curve"]),
     )

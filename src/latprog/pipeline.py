@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import time
 from pathlib import Path
@@ -38,9 +39,16 @@ from .progression import (
 from .stages import GLOBAL_PRIOR_SOURCES, PREDICTIONS, STAGES, producer
 from .tensorfile import canonical_json, read_tensor, read_tensors, write_tensor, write_tensors
 
+log = logging.getLogger(__name__)
+
 
 class OutputLock:
-    """One pipeline process at a time per output directory."""
+    """One pipeline process at a time per output directory.
+
+    A lock whose pid names a process that no longer exists was left by a
+    killed run: it is broken with a warning.  A lock held by a live process,
+    or one that holds no pid, is an error.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = Path(out_dir) / ".lock"
@@ -50,10 +58,11 @@ class OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if it is stale"
-            ) from None
+            self._break_if_stale()
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:  # another run took it after the break
+                raise self._locked() from None
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
@@ -61,6 +70,31 @@ class OutputLock:
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
         return False
+
+    def _break_if_stale(self) -> None:
+        try:
+            pid = int(self.path.read_text())
+        except FileNotFoundError:
+            return  # released meanwhile
+        except ValueError:
+            raise self._locked() from None
+        if pid <= 0:
+            raise self._locked()
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            log.warning("breaking stale lock %s: process %d no longer exists", self.path, pid)
+            self.path.unlink(missing_ok=True)
+            return
+        except (PermissionError, OverflowError):
+            pass  # alive but another user's, or too large to be a pid
+        raise self._locked()
+
+    def _locked(self) -> RuntimeError:
+        return RuntimeError(
+            f"output directory is locked by another run ({self.path}); "
+            "remove the lock file if it is stale"
+        )
 
 
 def _sha256(path: Path) -> str:

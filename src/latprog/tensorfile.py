@@ -20,6 +20,7 @@ A model is stored as a named container plus a JSON metadata file beside it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    MissingDependencyError,
     TensorFileError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
@@ -162,8 +164,19 @@ def save_with_meta(tensor_path, meta_path, named: dict[str, np.ndarray], meta: d
     Path(meta_path).write_text(canonical_json(meta))
 
 
-def load_with_meta(tensor_path, meta_path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a pair written by :func:`save_with_meta`; tensors come back as float64."""
+def load_with_meta(tensor_path, meta_path, config_type, stage: str):
+    """Read a pair written by :func:`save_with_meta`; tensors come back as float64.
+
+    Returns the tensors, the metadata and its ``config`` rebuilt as a
+    ``config_type``.  A config key that ``config_type`` lacks means another
+    version of the package wrote the pair: MissingDependencyError names
+    ``stage``, the stage that writes it, to re-run.
+    """
     meta = json.loads(Path(meta_path).read_text())
+    unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(config_type)})
+    if unknown:
+        raise MissingDependencyError(
+            stage, f"{meta_path} is stale: unknown config key {', '.join(map(repr, unknown))}"
+        )
     named = {k: v.astype(np.float64) for k, v in read_tensors(tensor_path).items()}
-    return named, meta
+    return named, meta, config_type(**meta["config"])

@@ -145,3 +145,17 @@ def gaussian_prior_loss_reference(mu, log_var, beta, nll_weight):
         nll = ((b - m) ** 2 / np.exp(v) + v).mean()
         vals.append(l1 + nll_weight * nll)
     return float(np.mean(vals))
+
+
+def pca_rows_svd(x, k):
+    """Top-k principal directions of the rows of x by a thin SVD of the
+    centered matrix, as rows; rows past min(n, d) are zero.  Returns the
+    rows, signs as the SVD gives them, and their squared singular values."""
+    x = np.asarray(x, dtype=np.float64)
+    _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    m = min(k, vt.shape[0])
+    rows = np.zeros((k, x.shape[1]))
+    rows[:m] = vt[:m]
+    s2 = np.zeros(k)
+    s2[:m] = s[:m] ** 2
+    return rows, s2

@@ -14,6 +14,7 @@ from latprog.autoencoder import (
     kl_divergence,
     load_model,
     loss_and_grads,
+    principal_components,
     reconstruct,
     save_model,
     train_autoencoder,
@@ -206,6 +207,56 @@ def test_pca_init_reconstructs_low_rank_data(rng):
     )
     for v in vols:
         assert np.abs(reconstruct(model, v) - v).max() < 1e-9
+
+
+def structured_volumes(rng, n, shape=(8, 8, 8)):
+    """n volumes around a common mean that vary along LATENT_DIM orthogonal
+    directions with well-separated variances, plus voxel noise (full rank)."""
+    d = int(np.prod(shape))
+    directions = np.linalg.qr(rng.normal(size=(d, LATENT_DIM)))[0].T
+    coords = np.linalg.qr(rng.normal(size=(n, LATENT_DIM)))[0]
+    coords = coords - coords.mean(axis=0)
+    scales = np.sqrt(n) * np.linspace(8.0, 1.0, LATENT_DIM)
+    x = 0.5 + (coords * scales) @ directions + 0.05 * rng.normal(size=(n, d))
+    return x.reshape((n,) + shape)
+
+
+def assert_rows_match_up_to_sign(rows, ref, atol):
+    signs = np.where(np.sum(rows * ref, axis=1) < 0, -1.0, 1.0)[:, None]
+    np.testing.assert_allclose(rows, signs * ref, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "n", [40, 600], ids=["fewer-volumes-than-voxels", "more-volumes-than-voxels"]
+)
+def test_pca_init_matches_svd_oracle(n, rng):
+    vols = structured_volumes(rng, n)
+    model = init_model(AEConfig(init="pca"), (8, 8, 8), train_volumes=vols)
+    rows = model.params["enc_w_mean"]
+    ref, _ = oracles.pca_rows_svd(vols.reshape(n, -1), LATENT_DIM)
+    assert_rows_match_up_to_sign(rows, ref, atol=1e-10)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(LATENT_DIM), rtol=0, atol=1e-10)
+
+
+def test_pca_variances_match_svd_oracle(rng):
+    x = structured_volumes(rng, 40).reshape(40, -1)
+    mean, centered, _, variances = principal_components(x, LATENT_DIM)
+    _, s2 = oracles.pca_rows_svd(x, LATENT_DIM)
+    np.testing.assert_allclose(variances, s2, rtol=1e-10)
+    assert np.all(np.diff(variances) < 0)
+    np.testing.assert_allclose(centered, x - mean, rtol=0, atol=1e-15)
+
+
+def test_pca_init_leaves_rows_past_the_rank_zero(rng):
+    # 3 volumes span rank 2 after centering: 2 components, LATENT_DIM - 2 zero rows
+    vols = np.stack(smooth_volumes(rng, 3))
+    model = init_model(AEConfig(init="pca"), (8, 8, 8), train_volumes=vols)
+    rows = model.params["enc_w_mean"]
+    ref, s2 = oracles.pca_rows_svd(vols.reshape(3, -1), LATENT_DIM)
+    assert s2[2] < 1e-20 * s2[0]  # the SVD's third direction spans no data
+    assert_rows_match_up_to_sign(rows[:2], ref[:2], atol=1e-10)
+    assert not rows[2:].any()
+    assert not model.params["enc_b_mean"][2:].any()
 
 
 def test_pca_tie_survives_training(rng):

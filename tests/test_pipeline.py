@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -213,12 +214,65 @@ def test_cli_parser_loads_no_numpy():
 def test_lock_conflict_reported(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").write_text("12345")
+    (out / ".lock").write_text(str(os.getpid()))  # a live process
     rc = main(["generate-cohort", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert "locked" in err
     assert (out / ".lock").exists()  # a foreign lock is never cleaned up
+
+
+def test_lock_without_a_pid_reported(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text("not a pid")
+    rc = main(["generate-cohort", "--out", str(out)])
+    assert rc == 1
+    assert "locked" in capsys.readouterr().err
+    assert (out / ".lock").read_text() == "not a pid"
+
+
+def test_lock_of_a_dead_process_is_broken(tmp_path, caplog):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # exited and reaped: its pid names no process
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(str(child.pid))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(MINI_CONFIG))
+    assert main(["generate-cohort", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert f"breaking stale lock {out / '.lock'}: process {child.pid} no longer exists" in caplog.text
+    assert (out / "cohort" / "manifest.json").exists()
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("meta, stage, consumer, source", [
+    ("ae/model.json", "train-ae", "encode", "regression"),
+    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net"),
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion"),
+], ids=["autoencoder", "gaussian-prior", "diffusion-prior"])
+def test_model_meta_from_another_version_names_the_stage_to_rerun(
+    chain_run, tmp_path, capsys, meta, stage, consumer, source
+):
+    """A model whose meta holds a config key this version lacks is refused, not crashed on."""
+    out = tmp_path / "out"
+    shutil.copytree(chain_run[0], out)
+    cfg_path = tmp_path / "run.json"
+    config = {**ALL_SOURCES_CONFIG, "evaluation": {"predict_sources": [source]}}
+    cfg_path.write_text(json.dumps(config))
+    if stage != "train-ae":
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+    doc = json.loads((out / meta).read_text())
+    doc["config"]["architecture"] = "mlp"
+    (out / meta).write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    rc = main([consumer, "--config", str(cfg_path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: missing dependency: run stage '{stage}' first")
+    assert "unknown config key 'architecture'" in lines[0]
 
 
 def test_unknown_config_key_reported(tmp_path, capsys):
