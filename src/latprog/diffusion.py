@@ -17,7 +17,7 @@ import numpy as np
 
 from .gaussian_prior import normalize_age
 from . import optim
-from .progression import TrainingTriplet
+from .progression import Triplets
 from .tensorfile import load_with_meta, save_with_meta
 
 _SCALE_FLOOR = 1e-4
@@ -25,30 +25,35 @@ _SCALE_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Forward-process variances; index 0 is the identity step by convention."""
+    """Forward-process variances; index 0 is the identity step by convention.
+
+    ``alphas`` and ``alpha_bars`` are derived from ``betas`` once, when the
+    schedule is built and its betas have passed :meth:`validate`.
+    """
 
     betas: np.ndarray  # (T+1,), betas[0] = 0
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
+    alphas: np.ndarray = field(init=False, repr=False)
+    alpha_bars: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "betas", np.asarray(self.betas, dtype=np.float64))
+        self.validate()
+        object.__setattr__(self, "alphas", 1.0 - self.betas)
+        object.__setattr__(self, "alpha_bars", np.cumprod(self.alphas))
 
     @classmethod
     def linear(cls, timesteps: int = 500, beta_start: float = 1e-4,
                beta_end: float = 0.02) -> "NoiseSchedule":
         if timesteps < 1:
             raise ValueError("invalid schedule: need at least one step")
-        betas = np.concatenate([[0.0], np.linspace(beta_start, beta_end, timesteps)])
-        alphas = 1.0 - betas
-        alpha_bars = np.cumprod(alphas)
-        sched = cls(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
-        sched.validate()
-        return sched
+        return cls(betas=np.concatenate([[0.0], np.linspace(beta_start, beta_end, timesteps)]))
 
     @property
     def timesteps(self) -> int:
         return len(self.betas) - 1
 
     def validate(self) -> None:
-        b = np.asarray(self.betas, dtype=np.float64)
+        b = self.betas
         if b.ndim != 1 or len(b) < 2 or b[0] != 0.0:
             raise ValueError("invalid schedule: betas must be 1D with betas[0] = 0")
         steps = b[1:]
@@ -56,11 +61,7 @@ class NoiseSchedule:
             raise ValueError("invalid schedule: step betas must lie in (0, 1)")
         if np.any(np.diff(steps) < 0):
             raise ValueError("invalid schedule: betas must be non-decreasing")
-        if not np.allclose(self.alphas, 1.0 - b):
-            raise ValueError("invalid schedule: alphas inconsistent with betas")
-        if not np.allclose(self.alpha_bars, np.cumprod(self.alphas)):
-            raise ValueError("invalid schedule: alpha_bars inconsistent")
-        if np.any(np.diff(self.alpha_bars) >= 0):
+        if np.any(np.diff(np.cumprod(1.0 - b)) >= 0):
             raise ValueError("invalid schedule: alpha_bars must strictly decrease")
 
 
@@ -220,21 +221,15 @@ def destandardize_target(denoiser: DiffusionDenoiser, x_std) -> np.ndarray:
 
 
 def train_diffusion_prior(
-    triplets: list[TrainingTriplet], schedule: NoiseSchedule, config: DiffusionConfig
+    triplets: Triplets, schedule: NoiseSchedule, config: DiffusionConfig
 ) -> DiffusionDenoiser:
-    """Fit the conditional denoiser on (latent, age, beta) triplets."""
-    schedule.validate()
-    if not triplets:
-        raise ValueError("no training triplets")
-    n = len(triplets)
-    latents = np.stack([np.asarray(t.latent, dtype=np.float64) for t in triplets]).reshape(n, -1)
-    ages = np.array([t.age for t in triplets], dtype=np.float64)
-    beta_flat = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets]).reshape(n, -1)
-    shift = beta_flat.mean(axis=0)
-    scale = np.maximum(beta_flat.std(axis=0), _SCALE_FLOOR)
+    """Fit the conditional denoiser on the (latent, age, beta) triplet rows."""
+    latents, ages, betas = triplets.latents, triplets.ages, triplets.betas
+    shift = betas.mean(axis=0)
+    scale = np.maximum(betas.std(axis=0), _SCALE_FLOOR)
 
     denoiser = _init_denoiser(config, latents.shape[1], shift, scale, schedule.timesteps)
-    targets = (beta_flat - shift) / scale
+    targets = (betas - shift) / scale
 
     def step(idx, rng):
         t = rng.integers(1, schedule.timesteps + 1, size=len(idx))
@@ -243,7 +238,7 @@ def train_diffusion_prior(
         return loss_and_grads(denoiser, noised, latents[idx], ages[idx], t, eps)
 
     denoiser.loss_curve = optim.train(
-        denoiser.params, n, config, step, lambda: ema_update(denoiser)
+        denoiser.params, len(ages), config, step, lambda: ema_update(denoiser)
     )
     return denoiser
 
@@ -265,7 +260,6 @@ def ancestral_sample(
     the output is destandardized; a plain callable (x, z, a, t) runs the
     chain as-is.
     """
-    schedule.validate()
     z_cond, age = condition
     trained = isinstance(denoiser, DiffusionDenoiser)
     if trained:

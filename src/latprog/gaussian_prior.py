@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import optim
-from .progression import VARIANCE_FLOOR, GaussianBelief, TrainingTriplet
+from .progression import VARIANCE_FLOOR, GaussianBelief, Triplets
 from .tensorfile import load_with_meta, save_with_meta
 
 AGE_CENTER = 70.0
@@ -122,24 +122,15 @@ def loss_and_grads(
     return loss, grads
 
 
-def train_gaussian_prior(
-    triplets: list[TrainingTriplet], config: GaussianPriorConfig
-) -> GaussianPriorNet:
-    """Fit the amortized prior on (latent, age, beta) triplets."""
-    if not triplets:
-        raise ValueError("no training triplets")
-    n = len(triplets)
-    latents = np.stack([np.asarray(t.latent, dtype=np.float64) for t in triplets]).reshape(n, -1)
-    ages = np.array([t.age for t in triplets], dtype=np.float64)
-    beta_flat = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets]).reshape(n, -1)
-
+def train_gaussian_prior(triplets: Triplets, config: GaussianPriorConfig) -> GaussianPriorNet:
+    """Fit the amortized prior on the (latent, age, beta) triplet rows."""
+    latents, ages, betas = triplets.latents, triplets.ages, triplets.betas
     net = _init_net(
-        config, latents.shape[1], beta_flat.mean(axis=0),
-        np.log(beta_flat.var(axis=0) + VARIANCE_FLOOR),
+        config, latents.shape[1], betas.mean(axis=0), np.log(betas.var(axis=0) + VARIANCE_FLOOR)
     )
     net.loss_curve = optim.train(
-        net.params, n, config,
-        lambda idx, rng: loss_and_grads(net, latents[idx], ages[idx], beta_flat[idx]),
+        net.params, len(ages), config,
+        lambda idx, rng: loss_and_grads(net, latents[idx], ages[idx], betas[idx]),
     )
     return net
 

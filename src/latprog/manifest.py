@@ -130,26 +130,22 @@ def save_cohort(cohort: phantom.Cohort, out_dir, cohort_id: str) -> Path:
     return path
 
 
-def load_cohort(cohort_dir, load_volumes: bool = True) -> phantom.Cohort:
+def load_cohort(cohort_dir) -> phantom.Cohort:
     root = Path(cohort_dir)
     manifest = json.loads((root / "manifest.json").read_text())
     spec = spec_from_dict(manifest["spec"])
     subjects = []
     for entry in manifest["subjects"]:
-        scans = []
-        for scan in entry["scans"]:
-            vol = None
-            if load_volumes:
-                vol = read_tensor(root / scan["volume_path"])
-            scans.append(
-                phantom.ScanRecord(
-                    subject_id=entry["subject_id"],
-                    age=scan["age"],
-                    diagnosis_at_scan=scan["diagnosis_at_scan"],
-                    seed=scan["seed"],
-                    volume=vol,
-                )
+        scans = [
+            phantom.ScanRecord(
+                subject_id=entry["subject_id"],
+                age=scan["age"],
+                diagnosis_at_scan=scan["diagnosis_at_scan"],
+                seed=scan["seed"],
+                volume=read_tensor(root / scan["volume_path"]),
             )
+            for scan in entry["scans"]
+        ]
         subjects.append(
             phantom.SubjectRecord(
                 subject_id=entry["subject_id"],
@@ -160,8 +156,3 @@ def load_cohort(cohort_dir, load_volumes: bool = True) -> phantom.Cohort:
             )
         )
     return phantom.Cohort(spec=spec, subjects=subjects)
-
-
-def cohort_id_of(cohort_dir) -> str:
-    manifest = json.loads((Path(cohort_dir) / "manifest.json").read_text())
-    return manifest["cohort_id"]

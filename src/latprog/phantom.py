@@ -389,9 +389,6 @@ class Cohort:
     def volumes(self) -> list[np.ndarray]:
         return [scan.volume for s in self.subjects for scan in s.scans]
 
-    def n_scans(self) -> int:
-        return sum(len(s.scans) for s in self.subjects)
-
 
 def _scan_diagnoses(diagnosis: str, n: int, rng: np.random.Generator) -> list[str]:
     # Per-scan labels consistent with the subject label under label_diagnosis.

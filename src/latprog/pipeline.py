@@ -29,8 +29,8 @@ from .progression import (
     GaussianBelief,
     LatentSequence,
     ObservationNoise,
-    TrainingTriplet,
     build_global_prior,
+    build_triplets,
     compute_beta,
     estimate_obs_noise,
     extrapolate,
@@ -193,74 +193,46 @@ def stage_encode(cfg: RunConfig, out: Path) -> None:
 
 
 def stage_fit_betas(cfg: RunConfig, out: Path) -> None:
-    tensors, meta = _load_latents(out)
-    betas: dict[str, np.ndarray] = {}
-    info_out = {}
-    for seq in _sequences_from_latents(tensors, meta):
-        if len(seq.ages) < 2:
-            continue
-        betas[seq.subject_id] = compute_beta(list(seq.latents), seq.ages)
-        sub = meta["subjects"][seq.subject_id]
-        info_out[seq.subject_id] = {
-            "split": sub["split"],
-            "diagnosis": sub["diagnosis"],
-            "first_age": float(seq.ages.min()),
-            "n_scans": int(len(seq.ages)),
-        }
+    betas = {
+        seq.subject_id: compute_beta(list(seq.latents), seq.ages)
+        for seq in _sequences_from_latents(*_load_latents(out))
+        if len(seq.ages) >= 2
+    }
     if not betas:
         raise ValueError("no subject has two or more scans")
     write_tensors(out / "betas" / "betas.mrxt", betas)
-    (out / "betas" / "betas.json").write_text(canonical_json(info_out))
 
 
-def _load_triplets(out: Path, split: str = "train"):
-    """Triplets and sequences assembled from the stored artifacts."""
-    tensors, meta = _load_latents(out)
-    beta_tensors = read_tensors(out / "betas" / "betas.mrxt")
+def _load_train_set(out: Path):
+    """Train-split sequences of the subjects fit-betas rated, and their stored rates."""
+    stored = read_tensors(out / "betas" / "betas.mrxt")
     sequences = [
-        s for s in _sequences_from_latents(tensors, meta, split=split)
-        if s.subject_id in beta_tensors
+        s for s in _sequences_from_latents(*_load_latents(out), split="train")
+        if s.subject_id in stored
     ]
-    triplets = []
-    for seq in sequences:
-        beta = beta_tensors[seq.subject_id].astype(np.float64)
-        for age, latent in zip(seq.ages, seq.latents):
-            triplets.append(
-                TrainingTriplet(
-                    subject_id=seq.subject_id, latent=latent, age=float(age), beta=beta
-                )
-            )
-    return triplets, sequences
+    return sequences, {s.subject_id: stored[s.subject_id].astype(np.float64) for s in sequences}
 
 
 def stage_fit_global_prior(cfg: RunConfig, out: Path) -> None:
-    triplets, sequences = _load_triplets(out)
-    prior = build_global_prior(triplets)
-    noise = estimate_obs_noise(triplets, sequences)
+    sequences, betas = _load_train_set(out)
+    prior = build_global_prior(build_triplets(sequences, betas).betas)
+    noise = estimate_obs_noise(sequences, betas)
     write_tensors(out / "priors" / "global.mrxt", {"mean": prior.mean, "variance": prior.variance})
-    (out / "priors" / "global.json").write_text(canonical_json(
-        {"n_triplets": len(triplets), "n_subjects": len(sequences), "split": "train"}
-    ))
     write_tensors(out / "priors" / "obs_noise.mrxt", {"variance": noise.variance})
-    (out / "priors" / "obs_noise.json").write_text(
-        canonical_json({"n_subjects": len(sequences), "split": "train"})
-    )
 
 
 def stage_fit_gaussian_prior(cfg: RunConfig, out: Path) -> None:
-    triplets, _ = _load_triplets(out)
-    net = train_gaussian_prior(triplets, cfg.gaussian_prior)
+    net = train_gaussian_prior(build_triplets(*_load_train_set(out)), cfg.gaussian_prior)
     save_gaussian_prior(
         net, out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
     )
 
 
 def stage_fit_diffusion_prior(cfg: RunConfig, out: Path) -> None:
-    triplets, _ = _load_triplets(out)
     schedule = NoiseSchedule.linear(
         cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end
     )
-    denoiser = train_diffusion_prior(triplets, schedule, cfg.diffusion)
+    denoiser = train_diffusion_prior(build_triplets(*_load_train_set(out)), schedule, cfg.diffusion)
     save_denoiser(
         denoiser, out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
     )
@@ -426,9 +398,9 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
 
 def stage_analyze_beta(cfg: RunConfig, out: Path) -> None:
     beta_tensors = read_tensors(out / "betas" / "betas.mrxt")
-    info = json.loads((out / "betas" / "betas.json").read_text())
+    info = json.loads((out / "latents" / "latents.json").read_text())["subjects"]
     entries = [
-        (beta_tensors[sid], info[sid]["diagnosis"], info[sid]["first_age"])
+        (beta_tensors[sid], info[sid]["diagnosis"], min(info[sid]["ages"]))
         for sid in sorted(beta_tensors)
     ]
     table = evaluation.beta_norm_analysis(

@@ -10,7 +10,7 @@ with per-subject observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +34,6 @@ class GaussianBelief:
         if not (np.isfinite(self.mean).all() and np.isfinite(self.variance).all()):
             raise ValueError("non-finite belief")
         self.variance = np.maximum(self.variance, VARIANCE_FLOOR)
-
-
-@dataclass(frozen=True)
-class TrainingTriplet:
-    subject_id: str
-    latent: np.ndarray
-    age: float
-    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,57 +120,71 @@ def compute_beta(latents, ages) -> np.ndarray:
     return l1_slope(da, dz)
 
 
-def build_global_prior(triplets: list[TrainingTriplet]) -> GaussianBelief:
-    """Elementwise mean/variance of beta over the triplet dataset.
+@dataclass(frozen=True)
+class Triplets:
+    """The (latent, age, beta) dataset every rate prior learns from.
 
-    Triplets repeat a subject's beta once per timepoint, so subjects with
-    more scans weigh more; variance uses denominator N and is floored.
+    One row per scan; a subject's beta repeats on each of its rows.
     """
-    if len(triplets) < 2:
-        raise ValueError("need at least two triplets for a population prior")
-    betas = np.stack([np.asarray(t.beta, dtype=np.float64) for t in triplets])
-    mean = betas.mean(axis=0)
-    variance = betas.var(axis=0)
-    return GaussianBelief(mean=mean, variance=variance)
+
+    latents: np.ndarray  # (n, k)
+    ages: np.ndarray  # (n,)
+    betas: np.ndarray  # (n, k)
 
 
-def build_triplets(sequences: list[LatentSequence]) -> list[TrainingTriplet]:
-    """One beta per subject (from all its scans), emitted at every timepoint."""
-    triplets: list[TrainingTriplet] = []
-    for seq in sequences:
-        beta = compute_beta(list(seq.latents), seq.ages)
-        for age, latent in zip(seq.ages, seq.latents):
-            triplets.append(
-                TrainingTriplet(
-                    subject_id=seq.subject_id,
-                    latent=np.asarray(latent, dtype=np.float64),
-                    age=float(age),
-                    beta=beta,
-                )
-            )
-    return triplets
+def _beta_of(betas: dict[str, np.ndarray], subject_id: str) -> np.ndarray:
+    if subject_id not in betas:
+        raise ValueError(f"no beta for subject {subject_id!r}")
+    return betas[subject_id]
+
+
+def build_triplets(
+    sequences: list[LatentSequence], betas: dict[str, np.ndarray]
+) -> Triplets:
+    """Rows in sequence order, then scan order; ``betas`` maps subject id to rate."""
+    rows = [
+        (latent, age, _beta_of(betas, seq.subject_id))
+        for seq in sequences
+        for latent, age in zip(seq.latents, seq.ages)
+    ]
+    if not rows:
+        raise ValueError("no training triplets")
+    latents, ages, rates = zip(*rows)
+    n = len(rows)
+    return Triplets(
+        latents=np.array(latents, dtype=np.float64).reshape(n, -1),
+        ages=np.array(ages, dtype=np.float64),
+        betas=np.array(rates, dtype=np.float64).reshape(n, -1),
+    )
+
+
+def build_global_prior(betas: np.ndarray) -> GaussianBelief:
+    """Elementwise mean/variance over per-scan beta rows (``Triplets.betas``).
+
+    A subject's beta repeats once per scan, so subjects with more scans
+    weigh more; variance uses denominator N and is floored.
+    """
+    betas = np.asarray(betas, dtype=np.float64)
+    if len(betas) < 2:
+        raise ValueError("need at least two beta rows for a population prior")
+    return GaussianBelief(mean=betas.mean(axis=0), variance=betas.var(axis=0))
 
 
 def estimate_obs_noise(
-    triplets: list[TrainingTriplet], sequences: list[LatentSequence]
+    sequences: list[LatentSequence], betas: dict[str, np.ndarray]
 ) -> ObservationNoise:
     """Elementwise variance of linear-model residuals.
 
     For each subject, residuals r_j = z_j - (z_1 + beta * (a_j - a_1)) are
     taken at every scan except the first (the first scan anchors the line,
     its residual is identically zero and carries no information).  beta
-    comes from the subject's triplets.
+    comes from ``betas``, which maps subject id to rate.
     """
-    beta_by_subject: dict[str, np.ndarray] = {}
-    for t in triplets:
-        beta_by_subject.setdefault(t.subject_id, np.asarray(t.beta, dtype=np.float64))
     residuals = []
     for seq in sequences:
         if len(seq.ages) < 2:
             continue
-        if seq.subject_id not in beta_by_subject:
-            raise ValueError(f"no triplet provides a beta for {seq.subject_id!r}")
-        beta = beta_by_subject[seq.subject_id]
+        beta = _beta_of(betas, seq.subject_id)
         order = np.argsort(seq.ages, kind="stable")
         a0 = seq.ages[order[0]]
         z0 = seq.latents[order[0]]

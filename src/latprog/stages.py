@@ -82,12 +82,8 @@ STAGES = {
         Stage("generate-cohort", outputs=(COHORT,)),
         Stage("train-ae", inputs=(COHORT,), outputs=MODEL),
         Stage("encode", inputs=(*MODEL, COHORT), outputs=LATENTS),
-        Stage("fit-betas", inputs=LATENTS, outputs=(BETAS, "betas/betas.json")),
-        Stage(
-            "fit-global-prior",
-            inputs=(*LATENTS, BETAS),
-            outputs=(*PRIOR_FILES["global_prior"], "priors/global.json", "priors/obs_noise.json"),
-        ),
+        Stage("fit-betas", inputs=LATENTS, outputs=(BETAS,)),
+        Stage("fit-global-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["global_prior"]),
         Stage("fit-gaussian-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["gaussian_net"]),
         Stage("fit-diffusion-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["diffusion"]),
         Stage(
@@ -102,7 +98,7 @@ STAGES = {
             outputs=("metrics/rows.csv", "metrics/summary.json"),
             prior_sources=GLOBAL_PRIOR_SOURCES,
         ),
-        Stage("analyze-beta", inputs=(BETAS, "betas/betas.json"), outputs=("analysis/beta_norms.csv",)),
+        Stage("analyze-beta", inputs=(BETAS, "latents/latents.json"), outputs=("analysis/beta_norms.csv",)),
     )
 }
 

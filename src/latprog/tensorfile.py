@@ -168,15 +168,19 @@ def load_with_meta(tensor_path, meta_path, config_type, stage: str):
     """Read a pair written by :func:`save_with_meta`; tensors come back as float64.
 
     Returns the tensors, the metadata and its ``config`` rebuilt as a
-    ``config_type``.  A config key that ``config_type`` lacks means another
-    version of the package wrote the pair: MissingDependencyError names
-    ``stage``, the stage that writes it, to re-run.
+    ``config_type``.  A config key that ``config_type`` lacks, or one it has
+    that the metadata lacks, means another version of the package wrote the
+    pair: MissingDependencyError names ``stage``, the stage that writes it,
+    to re-run.  A missing key is not filled with today's default, which may
+    not be the value the model was trained with.
     """
     meta = json.loads(Path(meta_path).read_text())
-    unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(config_type)})
-    if unknown:
-        raise MissingDependencyError(
-            stage, f"{meta_path} is stale: unknown config key {', '.join(map(repr, unknown))}"
-        )
+    stored = set(meta["config"])
+    expected = {f.name for f in dataclasses.fields(config_type)}
+    for kind, keys in (("unknown", stored - expected), ("missing", expected - stored)):
+        if keys:
+            raise MissingDependencyError(
+                stage, f"{meta_path} is stale: {kind} config key {', '.join(map(repr, sorted(keys)))}"
+            )
     named = {k: v.astype(np.float64) for k, v in read_tensors(tensor_path).items()}
     return named, meta, config_type(**meta["config"])

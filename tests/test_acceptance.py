@@ -40,7 +40,6 @@ from latprog.progression import (
     GaussianBelief,
     LatentSequence,
     ObservationNoise,
-    TrainingTriplet,
     build_global_prior,
     build_triplets,
     compute_beta,
@@ -195,17 +194,18 @@ def test_criterion_4_analytic_gradients():
     )
 
     # amortized gaussian prior, l1 + weighted nll
-    trips = [
-        TrainingTriplet(f"s{i}", rng.normal(0.0, 1.0, SHAPE),
-                        float(rng.uniform(55.0, 90.0)), rng.normal(0.0, 0.5, SHAPE))
-        for i in range(4)
+    rows = [
+        (rng.normal(0.0, 1.0, SHAPE), float(rng.uniform(55.0, 90.0)), rng.normal(0.0, 0.5, SHAPE))
+        for _ in range(4)
     ]
+    trips = build_triplets(  # one single-scan subject per row
+        [LatentSequence(f"s{i}", [a], z[None]) for i, (z, a, _) in enumerate(rows)],
+        {f"s{i}": b for i, (_, _, b) in enumerate(rows)},
+    )
     net = train_gaussian_prior(trips, GaussianPriorConfig(hidden_width=8, epochs=0))
     for k in net.params:
         net.params[k] = net.params[k] + rng.normal(0.0, 0.1, net.params[k].shape)
-    latents = np.stack([t.latent for t in trips])
-    ages = np.array([t.age for t in trips])
-    betas = np.stack([t.beta for t in trips]).reshape(len(trips), -1)
+    latents, ages, betas = trips.latents, trips.ages, trips.betas
     _, grads = gaussian_loss_and_grads(net, latents, ages, betas)
     _check_param_grads(
         net.params, grads,
@@ -305,7 +305,8 @@ def test_criterion_7_conditioning_curve(model60, cohort60):
         z0 = encode(model60, train_subj[i].scans[0].volume).mean
         ages, lats = linear_latents(z0, c, 60.0 + (i % 5))
         sequences.append(LatentSequence(subject_id=f"lin{i}", ages=ages, latents=lats))
-    prior = build_global_prior(build_triplets(sequences))
+    betas = {s.subject_id: compute_beta(s.latents, s.ages) for s in sequences}
+    prior = build_global_prior(build_triplets(sequences, betas).betas)
     obs_noise = ObservationNoise(variance=4.0 * prior.variance)
 
     spec = cohort60.spec

@@ -19,7 +19,6 @@ from latprog.config import (
 from latprog.errors import ConfigError
 from latprog.manifest import (
     canonical_json,
-    cohort_id_of,
     geometry_from_dict,
     geometry_to_dict,
     load_cohort,
@@ -84,16 +83,6 @@ def test_cohort_roundtrip_bit_exact(small_cohort, tmp_path):
             assert s_back.diagnosis_at_scan == s_orig.diagnosis_at_scan
             assert s_back.volume.dtype == np.float32
             np.testing.assert_array_equal(s_back.volume, s_orig.volume)
-
-
-def test_cohort_id_and_metadata_only_load(small_cohort, tmp_path):
-    save_cohort(small_cohort, tmp_path, "cohort-abc123")
-    assert cohort_id_of(tmp_path) == "cohort-abc123"
-    light = load_cohort(tmp_path, load_volumes=False)
-    assert all(s.volume is None for subj in light.subjects for s in subj.scans)
-    np.testing.assert_array_equal(
-        light.subjects[0].ages(), small_cohort.subjects[0].ages()
-    )
 
 
 def test_manifest_bytes_deterministic(small_cohort, tmp_path):

@@ -83,13 +83,13 @@ def test_chain_writes_expected_artifacts(chain_run):
         "latents/latents.mrxt",
         "latents/latents.json",
         "betas/betas.mrxt",
-        "betas/betas.json",
         "priors/global.mrxt",
-        "priors/global.json",
         "priors/obs_noise.mrxt",
-        "priors/obs_noise.json",
     ):
         assert (out / rel).exists(), rel
+    # everything these sidecars held is in latents/latents.json or read by no one
+    for rel in ("betas/betas.json", "priors/global.json", "priors/obs_noise.json"):
+        assert not (out / rel).exists(), rel
     assert not (out / ".lock").exists()  # released after every stage
 
 
@@ -246,15 +246,20 @@ def test_lock_of_a_dead_process_is_broken(tmp_path, caplog):
     assert not (out / ".lock").exists()
 
 
-@pytest.mark.parametrize("meta, stage, consumer, source", [
-    ("ae/model.json", "train-ae", "encode", "regression"),
-    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net"),
-    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion"),
-], ids=["autoencoder", "gaussian-prior", "diffusion-prior"])
+@pytest.mark.parametrize("meta, stage, consumer, source, dropped", [
+    ("ae/model.json", "train-ae", "encode", "regression", None),
+    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", None),
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", None),
+    ("ae/model.json", "train-ae", "encode", "regression", "gamma_kl"),
+    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", "nll_weight"),
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", "ema_decay"),
+], ids=["autoencoder", "gaussian-prior", "diffusion-prior",
+        "autoencoder-missing-key", "gaussian-prior-missing-key", "diffusion-prior-missing-key"])
 def test_model_meta_from_another_version_names_the_stage_to_rerun(
-    chain_run, tmp_path, capsys, meta, stage, consumer, source
+    chain_run, tmp_path, capsys, meta, stage, consumer, source, dropped
 ):
-    """A model whose meta holds a config key this version lacks is refused, not crashed on."""
+    """A model whose meta holds a config key this version lacks, or lacks one
+    it has, is refused, not crashed on or filled with today's default."""
     out = tmp_path / "out"
     shutil.copytree(chain_run[0], out)
     cfg_path = tmp_path / "run.json"
@@ -263,7 +268,12 @@ def test_model_meta_from_another_version_names_the_stage_to_rerun(
     if stage != "train-ae":
         assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
     doc = json.loads((out / meta).read_text())
-    doc["config"]["architecture"] = "mlp"
+    if dropped is None:
+        doc["config"]["architecture"] = "mlp"
+        problem = "unknown config key 'architecture'"
+    else:
+        del doc["config"][dropped]
+        problem = f"missing config key {dropped!r}"
     (out / meta).write_text(json.dumps(doc))
     capsys.readouterr()
 
@@ -272,7 +282,7 @@ def test_model_meta_from_another_version_names_the_stage_to_rerun(
     assert rc == 1
     assert len(lines) == 1
     assert lines[0].startswith(f"error: missing dependency: run stage '{stage}' first")
-    assert "unknown config key 'architecture'" in lines[0]
+    assert problem in lines[0]
 
 
 def test_unknown_config_key_reported(tmp_path, capsys):

@@ -11,7 +11,6 @@ from latprog.progression import (
     GaussianBelief,
     LatentSequence,
     ObservationNoise,
-    TrainingTriplet,
     build_global_prior,
     build_triplets,
     compute_beta,
@@ -147,40 +146,46 @@ def test_noiseless_recovery(seed):
 # ----------------------------------------------------------- triplets/prior
 
 
+def fitted_betas(sequences):
+    return {s.subject_id: compute_beta(s.latents, s.ages) for s in sequences}
+
+
 def test_triplets_replicate_beta_per_timepoint(rng):
     seqs = [
-        LatentSequence("a", np.array([70.0, 71.0, 74.0]),
-                       rng.normal(0.0, 1.0, (3, *SHAPE))),
         LatentSequence("b", np.array([60.0, 63.0]),
                        rng.normal(0.0, 1.0, (2, *SHAPE))),
+        LatentSequence("a", np.array([74.0, 70.0, 71.0]),
+                       rng.normal(0.0, 1.0, (3, *SHAPE))),
     ]
-    triplets = build_triplets(seqs)
-    assert len(triplets) == 5
-    by_subject = {}
-    for t in triplets:
-        by_subject.setdefault(t.subject_id, []).append(t)
-    assert len(by_subject["a"]) == 3
-    for t in by_subject["a"][1:]:
-        assert np.array_equal(t.beta, by_subject["a"][0].beta)
-    ages_a = sorted(t.age for t in by_subject["a"])
-    assert ages_a == [70.0, 71.0, 74.0]
+    trips = build_triplets(seqs, {"a": grid(0.5), "b": grid(-1.0), "unused": grid(9.0)})
+    # sequence order, then each sequence's scans as stored; one beta row per scan
+    np.testing.assert_array_equal(trips.ages, [60.0, 63.0, 74.0, 70.0, 71.0])
+    np.testing.assert_array_equal(
+        trips.latents, np.concatenate([s.latents for s in seqs]).reshape(5, -1)
+    )
+    np.testing.assert_array_equal(
+        trips.betas, np.stack([grid(-1.0)] * 2 + [grid(0.5)] * 3).reshape(5, -1)
+    )
+    assert trips.latents.dtype == trips.ages.dtype == trips.betas.dtype == np.float64
+
+
+@pytest.mark.parametrize("sequences", [
+    [],
+    [LatentSequence("s", np.empty(0), np.empty((0, *SHAPE)))],
+], ids=["no-sequences", "no-scans"])
+def test_build_triplets_rejects_empty_input(sequences):
+    with pytest.raises(ValueError, match="triplet"):
+        build_triplets(sequences, {"s": grid(0.1)})
 
 
 def test_prior_identical_betas_hit_floor():
-    trips = [
-        TrainingTriplet("s", grid(0.0), 70.0 + i, grid(0.7)) for i in range(3)
-    ]
-    prior = build_global_prior(trips)
+    prior = build_global_prior(np.stack([grid(0.7)] * 3))
     assert np.allclose(prior.mean, 0.7)
     assert np.array_equal(prior.variance, np.full(SHAPE, VARIANCE_FLOOR))
 
 
 def test_prior_two_point_variance():
-    trips = [
-        TrainingTriplet("a", grid(0.0), 70.0, grid(0.0)),
-        TrainingTriplet("b", grid(0.0), 70.0, grid(2.0)),
-    ]
-    prior = build_global_prior(trips)
+    prior = build_global_prior(np.stack([grid(0.0), grid(2.0)]))
     assert np.allclose(prior.mean, 1.0)
     assert np.allclose(prior.variance, 1.0)  # denominator N
 
@@ -188,18 +193,14 @@ def test_prior_two_point_variance():
 def test_prior_sampling_statistics():
     r = np.random.default_rng(54)
     betas = r.normal(0.3, 0.2, (100, 16))
-    trips = [
-        TrainingTriplet(f"t{i}", grid(0.0), 70.0, b.reshape(SHAPE))
-        for i, b in enumerate(betas)
-    ]
-    prior = build_global_prior(trips)
+    prior = build_global_prior(betas)
     assert np.abs(prior.mean - 0.3).max() < 0.05
     assert np.abs(prior.variance - 0.04).max() / 0.04 < 0.30
 
 
 def test_prior_requires_two_triplets():
     with pytest.raises(ValueError):
-        build_global_prior([TrainingTriplet("s", grid(0.0), 70.0, grid(1.0))])
+        build_global_prior(grid(1.0)[None])
 
 
 def test_subjects_with_more_scans_weigh_more(rng):
@@ -211,7 +212,8 @@ def test_subjects_with_more_scans_weigh_more(rng):
         "short", np.array([70.0, 71.0]),
         np.stack([grid(0.0), grid(5.0)]),
     )
-    prior = build_global_prior(build_triplets([seq_long, seq_short]))
+    seqs = [seq_long, seq_short]
+    prior = build_global_prior(build_triplets(seqs, fitted_betas(seqs)).betas)
     # 4 triplets at beta=1, 2 at beta=5 -> mean (4*1 + 2*5)/6
     assert np.allclose(prior.mean, 14.0 / 6.0)
 
@@ -240,7 +242,7 @@ def test_perfectly_linear_noise_is_floored(rng):
                    rng.normal(0.0, 1.0, SHAPE))
         for i in range(4)
     ]
-    noise = estimate_obs_noise(build_triplets(seqs), seqs)
+    noise = estimate_obs_noise(seqs, fitted_betas(seqs))
     assert np.array_equal(noise.variance, np.full(SHAPE, VARIANCE_FLOOR))
 
 
@@ -255,8 +257,7 @@ def test_alternating_residuals_give_two_point_variance():
     ])
     seq = LatentSequence("s", np.array(ages, dtype=np.float64),
                          np.concatenate([z0[None], lats]))
-    trips = [TrainingTriplet("s", z0, 70.0, beta)]
-    noise = estimate_obs_noise(trips, [seq])
+    noise = estimate_obs_noise([seq], {"s": beta})
     assert np.allclose(noise.variance, 0.01, atol=1e-15)
 
 
@@ -264,15 +265,15 @@ def test_known_beta_iid_noise_doubles_variance():
     """Residuals difference the first-scan noise: var(e_j - e_1) = 2 sigma^2."""
     r = np.random.default_rng(8)
     sigma = 0.2
-    trips, seqs = [], []
+    betas, seqs = {}, []
     for s in range(40):
         ages = np.sort(r.uniform(60.0, 75.0, 5))
         beta = r.normal(0.0, 0.3, SHAPE)
         z0 = r.normal(0.0, 1.0, SHAPE)
         noise = r.normal(0.0, sigma, (5, *SHAPE))
         seqs.append(seq_linear(f"s{s}", ages, beta, z0, noise))
-        trips.append(TrainingTriplet(f"s{s}", z0, ages[0], beta))
-    est = estimate_obs_noise(trips, seqs)
+        betas[f"s{s}"] = beta
+    est = estimate_obs_noise(seqs, betas)
     ratio = est.variance.mean() / sigma**2
     assert 1.7 < ratio < 2.3
 
@@ -287,7 +288,7 @@ def test_refit_beta_noise_within_spec_band():
         noise = r.normal(0.0, sigma, (5, *SHAPE))
         seqs.append(seq_linear(f"s{s}", ages, r.normal(0.0, 0.3, SHAPE),
                                r.normal(0.0, 1.0, SHAPE), noise))
-    est = estimate_obs_noise(build_triplets(seqs), seqs)
+    est = estimate_obs_noise(seqs, fitted_betas(seqs))
     ratio = est.variance.mean() / sigma**2
     assert 0.5 < ratio < 2.0
 
@@ -295,11 +296,20 @@ def test_refit_beta_noise_within_spec_band():
 def test_obs_noise_errors(rng):
     seq = seq_linear("s", [70.0, 72.0], grid(0.1), grid(0.0))
     with pytest.raises(ValueError):
-        estimate_obs_noise([], [seq])  # no beta for the subject
-    trips = [TrainingTriplet("s", grid(0.0), 70.0, grid(0.1))]
+        estimate_obs_noise([seq], {})  # no beta for the subject
     single = LatentSequence("s", np.array([70.0]), grid(0.0)[None])
     with pytest.raises(ValueError):
-        estimate_obs_noise(trips, [single])  # anchor only, no residuals
+        estimate_obs_noise([single], {"s": grid(0.1)})  # anchor only, no residuals
+
+
+def test_missing_beta_names_the_subject():
+    seqs = [seq_linear("s", [70.0, 72.0], grid(0.1), grid(0.0)),
+            seq_linear("lost", [70.0, 72.0], grid(0.1), grid(0.0))]
+    betas = {"s": grid(0.1)}
+    with pytest.raises(ValueError, match="no beta for subject 'lost'"):
+        build_triplets(seqs, betas)
+    with pytest.raises(ValueError, match="no beta for subject 'lost'"):
+        estimate_obs_noise(seqs, betas)
 
 
 # ---------------------------------------------------------------- posterior
