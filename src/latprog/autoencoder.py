@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import optim
-from .ssim import ssim3d, ssim3d_with_grad
+from .ssim import ssim3d_with_grad
 from .tensorfile import load_with_meta, save_with_meta
 
 LATENT_DIM = 8
@@ -194,34 +194,6 @@ def decode(model: AEModel, latent: np.ndarray) -> np.ndarray:
         raise ValueError(f"latent shape {latent.shape} != model ({model.n_latent},)")
     x_hat = _decode_batch(model, np.asarray(latent, dtype=np.float64)[None])
     return x_hat[0].reshape(model.input_shape)
-
-
-def kl_divergence(mean: np.ndarray, log_variance: np.ndarray) -> float:
-    """KL(N(mean, exp(log_variance)) || N(0, I)), summed over elements."""
-    mu = np.asarray(mean, dtype=np.float64)
-    lv = np.asarray(log_variance, dtype=np.float64)
-    return float(0.5 * np.sum(mu * mu + np.exp(lv) - lv - 1.0))
-
-
-def ae_loss(
-    volume: np.ndarray,
-    reconstruction: np.ndarray,
-    dist: EncodedDistribution,
-    config: AEConfig,
-) -> AELossTerms:
-    """Training loss terms for one volume/reconstruction pair."""
-    x = np.asarray(volume, dtype=np.float64)
-    x_hat = np.asarray(reconstruction, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(x_hat).all()
-            and np.isfinite(dist.mean).all() and np.isfinite(dist.log_variance).all()):
-        raise ValueError("non-finite values in loss inputs")
-    l1 = float(np.mean(np.abs(x - x_hat)))
-    ssim_term = 1.0 - ssim3d(x, x_hat, config.ssim_window, config.dynamic_range)
-    kl = kl_divergence(dist.mean, dist.log_variance)
-    total = l1 + config.ssim_weight * ssim_term + config.gamma_kl * kl
-    return AELossTerms(total=total, l1=l1, ssim=ssim_term, kl=kl)
 
 
 def loss_and_grads(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import phantom
 from .autoencoder import INITS, AEConfig
-from .diffusion import DiffusionConfig, NoiseSchedule, timestep_embedding
+from .diffusion import DiffusionConfig, timestep_embedding
 from .errors import ConfigError
 from .gaussian_prior import GaussianPriorConfig
 from .progression import BELIEF_SOURCES
@@ -45,13 +45,6 @@ class CohortParams:
 
 
 @dataclass(frozen=True)
-class ScheduleParams:
-    timesteps: int = 500
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-
-
-@dataclass(frozen=True)
 class EvalParams:
     predict_sources: tuple[str, ...] = ("global_prior", "posterior", "regression")
     anchor_year: float = 4.0
@@ -70,7 +63,6 @@ class RunConfig:
     autoencoder: AEConfig = field(default_factory=AEConfig)
     gaussian_prior: GaussianPriorConfig = field(default_factory=GaussianPriorConfig)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
-    schedule: ScheduleParams = field(default_factory=ScheduleParams)
     evaluation: EvalParams = field(default_factory=EvalParams)
 
     def to_dict(self) -> dict:
@@ -136,7 +128,6 @@ _SECTIONS = {
     "autoencoder": AEConfig,
     "gaussian_prior": GaussianPriorConfig,
     "diffusion": DiffusionConfig,
-    "schedule": ScheduleParams,
     "evaluation": EvalParams,
 }
 
@@ -190,7 +181,7 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
 def _check_buildable(cfg: RunConfig) -> None:
     """Build or check what the stages will build from ``cfg``, so that a value
     they would refuse fails here, as a ConfigError naming it, before any work."""
-    cp, sched = cfg.cohort, cfg.schedule
+    cp = cfg.cohort
     try:
         phantom.default_spec(cp.grid_size, cp.noise_sigma)
     except ValueError as exc:
@@ -199,11 +190,16 @@ def _check_buildable(cfg: RunConfig) -> None:
         except ValueError as grid_exc:
             raise ConfigError(f"cohort.grid_size: {grid_exc}") from grid_exc
         raise ConfigError(f"cohort.noise_sigma: {exc}") from exc
+    try:  # the message leads with the argument, which is the key's name
+        phantom.check_cohort_args(cp.scans_per_subject, cp.age_spacing, cp.baseline_age_range,
+                                  cp.diagnosis_mix, cp.split_fractions)
+    except ValueError as exc:
+        raise ConfigError(f"cohort.{exc}") from exc
     for path, build, args in [
         ("autoencoder.ssim_window", check_window,
          (cfg.autoencoder.ssim_window, (cp.grid_size,) * 3)),
         ("diffusion.embed_width", timestep_embedding, (0, 1, cfg.diffusion.embed_width)),
-        ("schedule", NoiseSchedule.linear, (sched.timesteps, sched.beta_start, sched.beta_end)),
+        ("diffusion", cfg.diffusion.schedule, ()),
     ]:
         try:
             build(*args)

@@ -2,16 +2,19 @@
 
 A shallow conditional denoiser is trained to predict the noise injected
 into standardized beta targets; sampling runs the standard reverse chain
-and averages K independent draws.  The chain operates in a standardized
-target space (shift/scale estimated from the training triplets) so the
-unit-Gaussian start matches the target scale; a raw callable passed to the
-sampler bypasses the standardization, which lets closed-form denoisers drive
-the exact chain.
+and averages K independent draws.  The linear noise schedule is part of
+the denoiser's config (``DiffusionConfig.schedule``), so a stored denoiser
+samples with the schedule it was trained on and a mismatched one is
+refused.  The chain operates in a standardized target space (shift/scale
+estimated from the training triplets) so the unit-Gaussian start matches
+the target scale; a raw callable passed to the sampler bypasses the
+standardization, which lets closed-form denoisers drive the exact chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -95,8 +98,14 @@ class DiffusionConfig:
     ema_decay: float = 0.99
     k_samples: int = 5
     embed_width: int = 16
+    timesteps: int = 500
+    beta_start: float = 1e-4
+    beta_end: float = 0.02
     rmsprop_decay: float = 0.99
     seed: int = 0
+
+    def schedule(self) -> NoiseSchedule:
+        return NoiseSchedule.linear(self.timesteps, self.beta_start, self.beta_end)
 
 
 @dataclass
@@ -106,13 +115,16 @@ class DiffusionDenoiser:
     ema_params: dict[str, np.ndarray]
     target_shift: np.ndarray  # elementwise mean of training betas
     target_scale: np.ndarray  # elementwise std, floored
-    timesteps: int
     loss_curve: list[float] = field(default_factory=list)
+
+    @cached_property
+    def schedule(self) -> NoiseSchedule:
+        """The noise schedule the denoiser is trained and sampled with."""
+        return self.config.schedule()
 
 
 def _init_denoiser(
-    config: DiffusionConfig, n_latent: int, shift: np.ndarray, scale: np.ndarray,
-    timesteps: int,
+    config: DiffusionConfig, n_latent: int, shift: np.ndarray, scale: np.ndarray
 ) -> DiffusionDenoiser:
     n_beta = shift.size
     d_in = n_beta + n_latent + 1 + config.embed_width
@@ -131,7 +143,6 @@ def _init_denoiser(
         ema_params={k: v.copy() for k, v in params.items()},
         target_shift=shift,
         target_scale=scale,
-        timesteps=timesteps,
     )
 
 
@@ -140,7 +151,7 @@ def _denoiser_features(
     ages: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     b = x_std.shape[0]
-    emb = timestep_embedding(t, denoiser.timesteps, denoiser.config.embed_width)
+    emb = timestep_embedding(t, denoiser.config.timesteps, denoiser.config.embed_width)
     return np.concatenate(
         [
             x_std.reshape(b, -1),
@@ -157,24 +168,15 @@ def _net_forward(params: dict[str, np.ndarray], x: np.ndarray):
     return h @ params["w_out"].T + params["b_out"], h
 
 
-def predict_noise(
-    denoiser: DiffusionDenoiser, x_std, latent, age, t, use_ema: bool = False
-) -> np.ndarray:
-    """epsilon_theta for a batch of standardized noised targets."""
-    x_std = np.asarray(x_std, dtype=np.float64)
-    squeeze = x_std.ndim == 1
-    if squeeze:
-        x_std = x_std[None]
-        latent = np.asarray(latent, dtype=np.float64)[None]
-        age = np.array([age])
-        t = np.array([t])
+def predict_noise(denoiser: DiffusionDenoiser, x_std, latent, age, t) -> np.ndarray:
+    """epsilon_theta of the EMA weights for one standardized noised target."""
     feats = _denoiser_features(
-        denoiser, x_std, np.asarray(latent, dtype=np.float64),
-        np.asarray(age, dtype=np.float64), np.asarray(t),
+        denoiser, np.asarray(x_std, dtype=np.float64)[None],
+        np.asarray(latent, dtype=np.float64)[None], np.array([age], dtype=np.float64),
+        np.array([t]),
     )
-    params = denoiser.ema_params if use_ema else denoiser.params
-    out, _ = _net_forward(params, feats)
-    return out[0] if squeeze else out
+    out, _ = _net_forward(denoiser.ema_params, feats)
+    return out[0]
 
 
 def loss_and_grads(
@@ -220,15 +222,15 @@ def destandardize_target(denoiser: DiffusionDenoiser, x_std) -> np.ndarray:
     return np.asarray(x_std, dtype=np.float64) * denoiser.target_scale + denoiser.target_shift
 
 
-def train_diffusion_prior(
-    triplets: Triplets, schedule: NoiseSchedule, config: DiffusionConfig
-) -> DiffusionDenoiser:
-    """Fit the conditional denoiser on the (latent, age, beta) triplet rows."""
+def train_diffusion_prior(triplets: Triplets, config: DiffusionConfig) -> DiffusionDenoiser:
+    """Fit the conditional denoiser on the (latent, age, beta) triplet rows,
+    under the noise schedule of ``config``."""
     latents, ages, betas = triplets.latents, triplets.ages, triplets.betas
     shift = betas.mean(axis=0)
     scale = np.maximum(betas.std(axis=0), _SCALE_FLOOR)
 
-    denoiser = _init_denoiser(config, latents.shape[1], shift, scale, schedule.timesteps)
+    denoiser = _init_denoiser(config, latents.shape[1], shift, scale)
+    schedule = denoiser.schedule
     targets = (betas - shift) / scale
 
     def step(idx, rng):
@@ -257,14 +259,14 @@ def ancestral_sample(
     draw per step from T down to 2 (the final step adds no noise).  With
     ``sample_noise=False`` only the start state is drawn.  A trainable
     denoiser runs in its standardized target space using EMA weights and
-    the output is destandardized; a plain callable (x, z, a, t) runs the
-    chain as-is.
+    the output is destandardized, and ``schedule`` must be the one it was
+    trained with; a plain callable (x, z, a, t) runs the chain as-is.
     """
     z_cond, age = condition
     trained = isinstance(denoiser, DiffusionDenoiser)
     if trained:
-        if schedule.timesteps != denoiser.timesteps:
-            raise ValueError("schedule length does not match the denoiser")
+        if not np.array_equal(schedule.betas, denoiser.schedule.betas):
+            raise ValueError("schedule does not match the one the denoiser was trained with")
         chain_shape: tuple[int, ...] = denoiser.params["b_out"].shape
     elif shape is not None:
         chain_shape = tuple(shape)
@@ -276,7 +278,7 @@ def ancestral_sample(
     alphas, abars = schedule.alphas, schedule.alpha_bars
     for t in range(schedule.timesteps, 0, -1):
         if trained:
-            eps_hat = predict_noise(denoiser, x, z_cond, age, t, use_ema=True)
+            eps_hat = predict_noise(denoiser, x, z_cond, age, t)
         else:
             eps_hat = np.asarray(denoiser(x, z_cond, age, t), dtype=np.float64)
         a_t, ab_t = alphas[t], abars[t]
@@ -308,7 +310,6 @@ def save_denoiser(denoiser: DiffusionDenoiser, tensor_path, meta_path) -> None:
     named["target_scale"] = denoiser.target_scale
     meta = {
         "config": asdict(denoiser.config),
-        "timesteps": denoiser.timesteps,
         "loss_curve": denoiser.loss_curve,
     }
     save_with_meta(tensor_path, meta_path, named, meta)
@@ -326,6 +327,5 @@ def load_denoiser(tensor_path, meta_path) -> DiffusionDenoiser:
         ema_params=ema,
         target_shift=named["target_shift"],
         target_scale=named["target_scale"],
-        timesteps=int(meta["timesteps"]),
         loss_curve=list(meta["loss_curve"]),
     )

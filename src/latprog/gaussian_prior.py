@@ -43,20 +43,6 @@ def normalize_age(age) -> np.ndarray:
     return (np.asarray(age, dtype=np.float64) - AGE_CENTER) / AGE_SCALE
 
 
-def gaussian_prior_loss(pred_mean, pred_logvar, target_beta, nll_weight: float) -> float:
-    """Mean over elements of |mu - beta| + w * ((beta - mu)^2/sigma^2 + log sigma^2)."""
-    mu = np.asarray(pred_mean, dtype=np.float64)
-    lv = np.asarray(pred_logvar, dtype=np.float64)
-    beta = np.asarray(target_beta, dtype=np.float64)
-    if not (mu.shape == lv.shape == beta.shape):
-        raise ValueError(f"shape mismatch: {mu.shape}, {lv.shape}, {beta.shape}")
-    if not (np.isfinite(mu).all() and np.isfinite(lv).all() and np.isfinite(beta).all()):
-        raise ValueError("non-finite loss inputs")
-    diff = beta - mu
-    nll = diff * diff * np.exp(-lv) + lv
-    return float(np.mean(np.abs(diff) + nll_weight * nll))
-
-
 def _init_net(
     config: GaussianPriorConfig, n_latent: int, beta_mean: np.ndarray, beta_logvar: np.ndarray
 ) -> GaussianPriorNet:

@@ -402,6 +402,53 @@ def _scan_diagnoses(diagnosis: str, n: int, rng: np.random.Generator) -> list[st
     return [HEALTHY] * m + [MCI] * (d - m) + [DEMENTIA] * (n - d)
 
 
+DEFAULT_DIAGNOSIS_MIX = {HEALTHY: 0.6, MCI: 0.25, DEMENTIA: 0.15}
+
+
+def _diagnosis_probs(diagnosis_mix: dict[str, float] | None) -> np.ndarray:
+    mix = DEFAULT_DIAGNOSIS_MIX if diagnosis_mix is None else diagnosis_mix
+    return np.array([mix.get(d, 0.0) for d in DIAGNOSES], dtype=np.float64)
+
+
+def check_cohort_args(
+    scans_per_subject: tuple[int, int],
+    age_spacing: tuple[float, float],
+    baseline_age_range: tuple[float, float],
+    diagnosis_mix: dict[str, float] | None,
+    split_fractions: tuple[float, float, float],
+) -> None:
+    """Raise ValueError unless ``generate_cohort`` can sample these arguments.
+
+    The message starts with the argument's name.  Every scan must fall in
+    [AGE_MIN, AGE_MAX], where the phantom renders: the oldest possible scan
+    is the latest baseline plus the most gaps at the widest spacing.
+    """
+    (scans_lo, scans_hi), (gap_lo, gap_hi) = scans_per_subject, age_spacing
+    base_lo, base_hi = baseline_age_range
+    if not 1 <= scans_lo <= scans_hi:
+        raise ValueError(f"scans_per_subject: need 1 <= low <= high, got {scans_per_subject}")
+    if not 0 < gap_lo <= gap_hi:
+        raise ValueError(f"age_spacing: need 0 < low <= high, got {age_spacing}")
+    if not AGE_MIN <= base_lo <= base_hi:
+        raise ValueError(
+            f"baseline_age_range: need {AGE_MIN} <= low <= high, got {baseline_age_range}"
+        )
+    oldest = base_hi + (scans_hi - 1) * gap_hi
+    if oldest > AGE_MAX:
+        raise ValueError(
+            f"baseline_age_range: the oldest possible scan, {base_hi} + {scans_hi - 1} gaps of "
+            f"{gap_hi}, is at {oldest:g}, past {AGE_MAX}"
+        )
+    unknown = sorted(set(diagnosis_mix or ()) - set(DIAGNOSES))
+    if unknown:
+        raise ValueError(f"diagnosis_mix: unknown diagnosis {unknown[0]!r}; one of {DIAGNOSES}")
+    probs = _diagnosis_probs(diagnosis_mix)
+    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"diagnosis_mix: {diagnosis_mix} must be >= 0 and sum to 1")
+    if sum(split_fractions) > 1.0 + 1e-9 or any(f < 0 for f in split_fractions):
+        raise ValueError(f"split_fractions: bad split fractions {split_fractions}")
+
+
 def generate_cohort(
     spec: PhantomSpec,
     n_subjects: int,
@@ -417,15 +464,12 @@ def generate_cohort(
 
     Each subject gets a diagnosis from ``diagnosis_mix``, per-region rate
     multipliers (diagnosis scale with +-10% jitter), irregular scan ages, and
-    rendered volumes.  Subjects are split train/val/test disjointly.
+    rendered volumes.  Subjects are split train/val/test disjointly.  The
+    arguments must pass :func:`check_cohort_args`.
     """
-    if diagnosis_mix is None:
-        diagnosis_mix = {HEALTHY: 0.6, MCI: 0.25, DEMENTIA: 0.15}
-    probs = np.array([diagnosis_mix.get(d, 0.0) for d in DIAGNOSES], dtype=np.float64)
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"diagnosis mix {diagnosis_mix} must be >= 0 and sum to 1")
-    if sum(split_fractions) > 1.0 + 1e-9 or any(f < 0 for f in split_fractions):
-        raise ValueError(f"bad split fractions {split_fractions}")
+    check_cohort_args(scans_per_subject, age_spacing, baseline_age_range, diagnosis_mix,
+                      split_fractions)
+    probs = _diagnosis_probs(diagnosis_mix)
     validate_spec(spec)
 
     root = np.random.SeedSequence(seed)

@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation, phantom
 from .autoencoder import decode, encode, load_model, save_model, train_autoencoder
 from .config import SEED_OFFSETS, RunConfig
-from .diffusion import NoiseSchedule, load_denoiser, save_denoiser, train_diffusion_prior
+from .diffusion import load_denoiser, save_denoiser, train_diffusion_prior
 from .errors import MissingDependencyError
 from .evaluation import write_csv, write_metrics_csv
 from .gaussian_prior import load_gaussian_prior, save_gaussian_prior, train_gaussian_prior
@@ -229,10 +229,7 @@ def stage_fit_gaussian_prior(cfg: RunConfig, out: Path) -> None:
 
 
 def stage_fit_diffusion_prior(cfg: RunConfig, out: Path) -> None:
-    schedule = NoiseSchedule.linear(
-        cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end
-    )
-    denoiser = train_diffusion_prior(build_triplets(*_load_train_set(out)), schedule, cfg.diffusion)
+    denoiser = train_diffusion_prior(build_triplets(*_load_train_set(out)), cfg.diffusion)
     save_denoiser(
         denoiser, out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
     )
@@ -254,9 +251,6 @@ def _load_beliefs(out: Path, sources, cfg: RunConfig) -> dict:
     if "diffusion" in sources:
         kwargs["denoiser"] = load_denoiser(
             out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
-        )
-        kwargs["schedule"] = NoiseSchedule.linear(
-            cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end
         )
         kwargs["k_samples"] = cfg.diffusion.k_samples
     return kwargs

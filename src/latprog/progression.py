@@ -255,7 +255,6 @@ def resolve_beta(
     obs_noise: ObservationNoise | None = None,
     gaussian_net=None,
     denoiser=None,
-    schedule=None,
     seed: int = 0,
     k_samples: int = 5,
 ) -> np.ndarray:
@@ -292,33 +291,10 @@ def resolve_beta(
 
         return predict_gaussian_prior(gaussian_net, latest_z, latest_a).mean
     # diffusion
-    if denoiser is None or schedule is None:
-        raise ValueError("diffusion source requires a denoiser and schedule")
+    if denoiser is None:
+        raise ValueError("diffusion source requires a trained denoiser")
     from .diffusion import sample_beta_averaged
 
     return sample_beta_averaged(
-        denoiser, schedule, (latest_z, latest_a), k=k_samples, seed=seed
+        denoiser, denoiser.schedule, (latest_z, latest_a), k=k_samples, seed=seed
     )
-
-
-def predict_scan(
-    model,
-    scans: list[tuple[np.ndarray, float]],
-    belief_source: str,
-    target_age: float,
-    **belief_kwargs,
-) -> np.ndarray:
-    """Predict the volume at target_age from (volume, age) scan pairs.
-
-    Encodes to latent means, resolves beta from the chosen source,
-    extrapolates from the most recent scan, decodes.
-    """
-    from .autoencoder import decode, encode
-
-    if not scans:
-        raise ValueError("at least one scan is required")
-    latent_scans = [(encode(model, vol).mean, float(age)) for vol, age in scans]
-    beta = resolve_beta(latent_scans, belief_source, **belief_kwargs)
-    ordered = sorted(latent_scans, key=lambda s: s[1])
-    z_star = extrapolate(ordered[-1][0], ordered[-1][1], beta, target_age)
-    return decode(model, z_star)

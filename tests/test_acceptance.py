@@ -214,10 +214,7 @@ def test_criterion_4_analytic_gradients():
     )
 
     # denoiser mse
-    den = train_diffusion_prior(
-        trips, NoiseSchedule.linear(timesteps=12),
-        DiffusionConfig(hidden_width=6, epochs=0),
-    )
+    den = train_diffusion_prior(trips, DiffusionConfig(hidden_width=6, epochs=0, timesteps=12))
     for k in den.params:
         den.params[k] = den.params[k] + rng.normal(0.0, 0.1, den.params[k].shape)
     x_std = rng.normal(0.0, 1.0, (4, 16))

@@ -7,11 +7,9 @@ import oracles
 from latprog.autoencoder import (
     LATENT_DIM,
     AEConfig,
-    ae_loss,
     decode,
     encode,
     init_model,
-    kl_divergence,
     load_model,
     loss_and_grads,
     principal_components,
@@ -81,14 +79,19 @@ def test_affine_decoder_is_affine(tiny_model, rng):
 
 
 def test_kl_divergence_values(rng):
-    assert kl_divergence(np.zeros(4), np.zeros(4)) == 0.0
-    mu = np.ones(3)
-    assert kl_divergence(mu, np.zeros(3)) == pytest.approx(1.5, abs=1e-12)
-    mu = rng.normal(0.0, 1.0, 16)
-    lv = rng.normal(0.0, 0.5, 16)
-    assert kl_divergence(mu, lv) == pytest.approx(
-        oracles.kl_reference(mu, lv), rel=1e-12
+    # a zero-weight encoder maps every volume to its biases: mean and log-variance
+    def kl(mu, lv):
+        model = init_model(AEConfig(init="zeros"), (8, 8, 8))
+        model.params["enc_b_mean"][:], model.params["enc_b_logvar"][:] = mu, lv
+        return loss_and_grads(model, rng.random((1, 8, 8, 8)), None)[0].kl
+
+    assert kl(np.zeros(LATENT_DIM), np.zeros(LATENT_DIM)) == 0.0
+    assert kl(np.ones(LATENT_DIM), np.zeros(LATENT_DIM)) == pytest.approx(
+        0.5 * LATENT_DIM, abs=1e-12
     )
+    mu = rng.normal(0.0, 1.0, LATENT_DIM)
+    lv = rng.normal(0.0, 0.5, LATENT_DIM)
+    assert kl(mu, lv) == pytest.approx(oracles.kl_reference(mu, lv), rel=1e-12)
 
 
 def test_loss_matches_scalar_recomputation(tiny_model, rng):
@@ -96,7 +99,7 @@ def test_loss_matches_scalar_recomputation(tiny_model, rng):
     dist = encode(tiny_model, x)
     x_hat = decode(tiny_model, dist.mean)
     cfg = tiny_model.config
-    terms = ae_loss(x, x_hat, dist, cfg)
+    terms, _ = loss_and_grads(tiny_model, x[None], None)
     l1 = np.abs(x - x_hat).mean()
     ssim_term = 1.0 - oracles.ssim_reference(x, x_hat, cfg.ssim_window)
     kl = oracles.kl_reference(dist.mean, dist.log_variance)
@@ -108,12 +111,10 @@ def test_loss_matches_scalar_recomputation(tiny_model, rng):
 
 
 def test_loss_rejects_non_finite(tiny_model, rng):
-    x = rng.random((8, 8, 8))
-    dist = encode(tiny_model, x)
-    bad = decode(tiny_model, dist.mean)
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        ae_loss(x, bad, dist, tiny_model.config)
+    x = rng.random((1, 8, 8, 8))
+    x[0, 0, 0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        loss_and_grads(tiny_model, x, None)
 
 
 @pytest.mark.parametrize("init", ["random"], ids=["affine"])
@@ -176,8 +177,7 @@ def test_constant_volume_is_learned_to_tolerance():
     cfg = AEConfig(epochs=3000, learning_rate=5e-4, batch_size=1, init="zeros",
                    sample_latent=False, seed=3)
     model = train_autoencoder([vol], cfg)
-    rec = reconstruct(model, vol)
-    terms = ae_loss(vol, rec, encode(model, vol), cfg)
+    terms, _ = loss_and_grads(model, vol[None], None)  # decodes the mean, as inference does
     assert terms.l1 + terms.ssim < 1e-3
 
 

@@ -114,7 +114,7 @@ def test_default_config_derives_stage_seeds():
     assert cfg.gaussian_prior.seed == SEED_OFFSETS["gaussian_prior"]
     assert cfg.diffusion.seed == SEED_OFFSETS["diffusion"]
     assert cfg.cohort.n_subjects == 60
-    assert cfg.schedule.timesteps == 500
+    assert cfg.diffusion.timesteps == 500
 
 
 def test_master_seed_shifts_stage_seeds():
@@ -188,7 +188,7 @@ def test_values_checked_against_annotations():
     ("diffusion", "epochs", 0),
     ("diffusion", "k_samples", 1),
     ("diffusion", "embed_width", 0),
-    ("schedule", "timesteps", 1),
+    ("diffusion", "timesteps", 1),
 ])
 def test_counts_below_their_minimum_rejected(section, key, minimum):
     cfg = config_from_dict({section: {key: minimum}})
@@ -229,9 +229,12 @@ def test_to_dict_contains_all_sections():
     d = RunConfig().to_dict()
     assert set(d) == {
         "seed", "cohort", "autoencoder", "gaussian_prior",
-        "diffusion", "schedule", "evaluation",
+        "diffusion", "evaluation",
     }
     assert d["cohort"]["grid_size"] == 32
+    # the noise schedule is the denoiser's own
+    schedule = {k: d["diffusion"][k] for k in ("timesteps", "beta_start", "beta_end")}
+    assert schedule == {"timesteps": 500, "beta_start": 1e-4, "beta_end": 0.02}
 
 
 def test_load_config_file_roundtrip(tmp_path):

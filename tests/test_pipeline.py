@@ -7,12 +7,16 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from latprog import pipeline
+from latprog.autoencoder import decode, load_model
 from latprog.cli import main
 from latprog.config import load_config
-from latprog.stages import STAGES
+from latprog.progression import GaussianBelief, ObservationNoise, extrapolate, resolve_beta
+from latprog.stages import PREDICTIONS, STAGES
+from latprog.tensorfile import read_tensor, read_tensors
 
 MINI_CONFIG = {
     "seed": 5,
@@ -27,8 +31,7 @@ ALL_SOURCES_CONFIG = {
     **MINI_CONFIG,
     "autoencoder": {"epochs": 1},
     "gaussian_prior": {"epochs": 2},
-    "diffusion": {"epochs": 2, "k_samples": 2},
-    "schedule": {"timesteps": 20},
+    "diffusion": {"epochs": 2, "k_samples": 2, "timesteps": 20},
     "evaluation": {
         "predict_sources": ["global_prior", "gaussian_net", "diffusion", "regression", "posterior"]
     },
@@ -71,6 +74,19 @@ def chain_run(tmp_path_factory):
     for stage in CHAIN:
         rc = main([stage, "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0, stage
+    return out, cfg_path
+
+
+@pytest.fixture(scope="module")
+def all_sources_run(tmp_path_factory):
+    """Every stage through predict under ALL_SOURCES_CONFIG."""
+    root = tmp_path_factory.mktemp("all-sources")
+    cfg_path = root / "run.json"
+    cfg_path.write_text(json.dumps(ALL_SOURCES_CONFIG))
+    out = root / "out"
+    stages = list(STAGES)
+    for stage in stages[: stages.index("predict") + 1]:
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
     return out, cfg_path
 
 
@@ -145,6 +161,49 @@ def test_evaluate_before_predict_names_predict(chain_run, capsys):
     assert rc == 1
     assert "run stage 'predict' first" in err
     assert not (out / "metrics").exists()
+
+
+def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run):
+    """Each global_prior, posterior and regression forecast decodes the latest
+    conditioning latent moved along the source's rate to the target age."""
+    out, _ = all_sources_run
+    model = load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+    latents = read_tensors(out / "latents" / "latents.mrxt")
+    beliefs = {
+        "global_prior": GaussianBelief(**read_tensors(out / "priors" / "global.mrxt")),
+        "obs_noise": ObservationNoise(
+            read_tensors(out / "priors" / "obs_noise.mrxt")["variance"].astype(np.float64)
+        ),
+    }
+    checked = 0
+    for sid, case in json.loads((out / PREDICTIONS).read_text()).items():
+        cond = [(latents[f"{sid}/{i}"].astype(np.float64), age)
+                for i, age in enumerate(case["conditioning_ages"])]
+        for source in ("global_prior", "posterior", "regression"):
+            beta = resolve_beta(cond, source, **beliefs)
+            expect = decode(model, extrapolate(*cond[-1], beta, case["target_age"]))
+            stored = read_tensor(out / case["sources"][source])
+            np.testing.assert_array_equal(stored, expect.astype(np.float32), err_msg=source)
+            checked += 1
+    assert checked >= 3
+
+
+def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(
+    all_sources_run, tmp_path
+):
+    """A changed noise schedule in the config does not reach a fitted denoiser."""
+    first = all_sources_run[0]
+    out = tmp_path / "out"
+    shutil.copytree(first, out)
+    diffusion = {**ALL_SOURCES_CONFIG["diffusion"], "beta_end": 0.05}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**ALL_SOURCES_CONFIG, "diffusion": diffusion}))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    forecasts = sorted((first / "predictions" / "diffusion").iterdir())
+    assert forecasts
+    for path in forecasts:
+        assert (out / "predictions" / "diffusion" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_run_records_hash_exactly_the_files_each_stage_reads(
@@ -250,11 +309,15 @@ def test_lock_of_a_dead_process_is_broken(tmp_path, caplog):
     ("ae/model.json", "train-ae", "encode", "regression", None),
     ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", None),
     ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", None),
-    ("ae/model.json", "train-ae", "encode", "regression", "gamma_kl"),
-    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", "nll_weight"),
-    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", "ema_decay"),
+    ("ae/model.json", "train-ae", "encode", "regression", ("gamma_kl",)),
+    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", ("nll_weight",)),
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", ("ema_decay",)),
+    # a denoiser saved with its noise schedule outside its config
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion",
+     ("beta_end", "beta_start", "timesteps")),
 ], ids=["autoencoder", "gaussian-prior", "diffusion-prior",
-        "autoencoder-missing-key", "gaussian-prior-missing-key", "diffusion-prior-missing-key"])
+        "autoencoder-missing-key", "gaussian-prior-missing-key", "diffusion-prior-missing-key",
+        "diffusion-prior-missing-schedule"])
 def test_model_meta_from_another_version_names_the_stage_to_rerun(
     chain_run, tmp_path, capsys, meta, stage, consumer, source, dropped
 ):
@@ -272,8 +335,9 @@ def test_model_meta_from_another_version_names_the_stage_to_rerun(
         doc["config"]["architecture"] = "mlp"
         problem = "unknown config key 'architecture'"
     else:
-        del doc["config"][dropped]
-        problem = f"missing config key {dropped!r}"
+        for key in dropped:
+            del doc["config"][key]
+        problem = f"missing config key {', '.join(map(repr, dropped))}"
     (out / meta).write_text(json.dumps(doc))
     capsys.readouterr()
 
@@ -308,15 +372,33 @@ def test_unknown_config_key_reported(tmp_path, capsys):
      "error: autoencoder.ssim_window: window 21 larger than volume (20, 20, 20)"),
     ({"diffusion": {"embed_width": 5}}, "error: diffusion.embed_width: embedding width must be even"),
     ({"diffusion": {"embed_width": -2}}, "error: diffusion.embed_width must be at least 0"),
-    ({"schedule": {"beta_end": 1.5}}, "error: schedule: invalid schedule: step betas"),
-    ({"schedule": {"beta_start": 0.0}}, "error: schedule: invalid schedule: step betas"),
-    ({"schedule": {"beta_start": 0.05}}, "error: schedule: invalid schedule: betas must be non-decreasing"),
+    ({"diffusion": {"beta_end": 1.5}}, "error: diffusion: invalid schedule: step betas"),
+    ({"diffusion": {"beta_start": 0.0}}, "error: diffusion: invalid schedule: step betas"),
+    ({"diffusion": {"beta_start": 0.05}}, "error: diffusion: invalid schedule: betas must be non-decreasing"),
     ({"evaluation": {"predict_sources": ["global_prior", "oracle"]}},
      "error: evaluation.predict_sources: 'oracle' is not one of"),
+    ({"cohort": {"baseline_age_range": [40, 50]}},
+     "error: cohort.baseline_age_range: need 55.0 <= low <= high, got (40, 50)"),
+    ({"cohort": {"baseline_age_range": [60, 90]}},
+     "error: cohort.baseline_age_range: the oldest possible scan, 90 + 5 gaps of 1.3, is at 96.5"),
+    ({"cohort": {"scans_per_subject": [4, 2]}},
+     "error: cohort.scans_per_subject: need 1 <= low <= high, got (4, 2)"),
+    ({"cohort": {"scans_per_subject": [0, 1]}},
+     "error: cohort.scans_per_subject: need 1 <= low <= high, got (0, 1)"),
+    ({"cohort": {"age_spacing": [-1, -0.5]}},
+     "error: cohort.age_spacing: need 0 < low <= high, got (-1, -0.5)"),
+    ({"cohort": {"split_fractions": [0.8, 0.3, 0.2]}},
+     "error: cohort.split_fractions: bad split fractions (0.8, 0.3, 0.2)"),
+    ({"cohort": {"diagnosis_mix": {"healthy": 0.5}}},
+     "error: cohort.diagnosis_mix: {'healthy': 0.5} must be >= 0 and sum to 1"),
+    ({"cohort": {"diagnosis_mix": {"healthy": 1.0, "dementa": 0.5}}},
+     "error: cohort.diagnosis_mix: unknown diagnosis 'dementa'"),
 ], ids=["wrong-type", "grid-16", "noise-0.1", "negative-noise", "grid-16-noise-0.1",
         "mlp", "init-kaiming", "even-window", "window-1", "window-above-grid", "odd-embed-width",
         "negative-embed-width", "beta-end-1.5", "beta-start-0", "beta-start-above-end",
-        "unknown-source"])
+        "unknown-source", "baseline-below-age-min", "oldest-scan-past-age-max",
+        "scans-low-above-high", "zero-scans", "negative-spacing", "split-above-one",
+        "mix-below-one", "mix-unknown-diagnosis"])
 def test_bad_config_value_rejected_before_any_work(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))

@@ -1,16 +1,13 @@
-"""Belief-source routing and volume-level prediction."""
+"""Belief-source routing."""
 
 import numpy as np
 import pytest
 
-from latprog.autoencoder import LATENT_DIM, decode, encode, reconstruct
+from latprog.autoencoder import LATENT_DIM
 from latprog.progression import (
     BELIEF_SOURCES,
     GaussianBelief,
     ObservationNoise,
-    compute_beta,
-    extrapolate,
-    predict_scan,
     resolve_beta,
 )
 
@@ -67,6 +64,8 @@ def test_source_requirement_errors(rng):
         resolve_beta(scans, "posterior", global_prior=belief(0.0))
     with pytest.raises(ValueError, match="prior network"):
         resolve_beta(scans, "gaussian_net")
+    with pytest.raises(ValueError, match="trained denoiser"):
+        resolve_beta(scans, "diffusion")
     with pytest.raises(ValueError, match="at least two scans"):
         resolve_beta(latent_scans(rng, [70.0], 0.0), "regression")
     with pytest.raises(ValueError, match="at least one scan"):
@@ -77,39 +76,3 @@ def test_sources_enum_is_exhaustive():
     assert BELIEF_SOURCES == (
         "global_prior", "gaussian_net", "diffusion", "regression", "posterior"
     )
-
-
-def test_predict_at_latest_age_is_reconstruction(tiny_model, rng):
-    vols = [rng.random((8, 8, 8)) for _ in range(2)]
-    scans = [(vols[0], 70.0), (vols[1], 73.0)]
-    pred = predict_scan(
-        tiny_model, scans, "global_prior", 73.0, global_prior=belief(0.31)
-    )
-    assert np.allclose(pred, reconstruct(tiny_model, vols[1]), atol=1e-12)
-
-
-def test_regression_predicts_linear_latent_subject(tiny_model, rng):
-    """Volumes decoded from a latent line are predicted onto that line."""
-    z0 = rng.normal(0.0, 1.0, LSHAPE)
-    beta = rng.normal(0.0, 0.2, LSHAPE)
-    ages = [70.0, 71.0, 72.0, 74.0]
-    target_age = 78.0
-    vols = [decode(tiny_model, z0 + beta * (a - ages[0])) for a in ages]
-    held_out = decode(tiny_model, z0 + beta * (target_age - ages[0]))
-
-    pred = predict_scan(tiny_model, list(zip(vols, ages)), "regression", target_age)
-    # the predicted latent is the held-out scan's encoding, so the decoded
-    # prediction equals the held-out reconstruction
-    assert np.abs(pred - reconstruct(tiny_model, held_out)).max() < 1e-6
-
-
-def test_predict_consistent_with_manual_pipeline(tiny_model, rng):
-    vols = [rng.random((8, 8, 8)) for _ in range(3)]
-    ages = [70.0, 72.0, 75.0]
-    prior = belief(0.05)
-    pred = predict_scan(
-        tiny_model, list(zip(vols, ages)), "global_prior", 80.0, global_prior=prior
-    )
-    lats = [encode(tiny_model, v).mean for v in vols]
-    manual = decode(tiny_model, extrapolate(lats[-1], 75.0, prior.mean, 80.0))
-    assert np.allclose(pred, manual, atol=1e-12)

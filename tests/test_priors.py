@@ -23,7 +23,7 @@ from latprog.diffusion import (
 from latprog.diffusion import loss_and_grads as diffusion_loss_and_grads
 from latprog.gaussian_prior import (
     GaussianPriorConfig,
-    gaussian_prior_loss,
+    _init_net,
     load_gaussian_prior,
     loss_and_grads,
     normalize_age,
@@ -60,36 +60,42 @@ def make_triplets(n, seed, beta_fn=None):
 # ------------------------------------------------------------ gaussian loss
 
 
+def gaussian_loss(mu, lv, betas, nll_weight=1e-3):
+    """The training loss of a net whose zero output heads predict (mu, lv) for any input."""
+    net = _init_net(GaussianPriorConfig(hidden_width=4, nll_weight=nll_weight), 3, mu, lv)
+    latents = np.random.default_rng(0).normal(0.0, 1.0, (len(betas), 3))
+    return loss_and_grads(net, latents, np.full(len(betas), 70.0), betas)[0]
+
+
 def test_gaussian_loss_zero_at_exact_fit():
-    beta = np.linspace(-1.0, 2.0, 8).reshape(2, 4)
-    assert gaussian_prior_loss(beta, np.zeros_like(beta), beta, 1e-3) == 0.0
+    mu = np.linspace(-1.0, 2.0, 4)
+    assert gaussian_loss(mu, np.zeros_like(mu), np.tile(mu, (2, 1))) == 0.0
 
 
 def test_gaussian_loss_unit_error_unit_variance():
     # |mu - beta| = 1 with log var 0 costs 1 + w per element
-    mu = np.zeros((3, 5))
+    mu = np.zeros(5)
     beta = np.ones((3, 5))
     w = 1e-3
-    assert gaussian_prior_loss(mu, np.zeros_like(mu), beta, w) == pytest.approx(
-        1.0 + w, rel=1e-12
-    )
+    assert gaussian_loss(mu, np.zeros_like(mu), beta, w) == pytest.approx(1.0 + w, rel=1e-12)
 
 
 def test_gaussian_loss_matches_reference():
     rng = np.random.default_rng(3)
-    mu = rng.normal(0.0, 1.0, (6, DIM))
-    lv = rng.normal(0.0, 0.5, (6, DIM))
+    mu = rng.normal(0.0, 1.0, DIM)
+    lv = rng.normal(0.0, 0.5, DIM)
     beta = rng.normal(0.0, 1.0, (6, DIM))
+    rows = [np.broadcast_to(v, beta.shape) for v in (mu, lv)]
     for w in (0.0, 1e-3, 0.5):
-        expect = oracles.gaussian_prior_loss_reference(mu, lv, beta, w)
-        assert gaussian_prior_loss(mu, lv, beta, w) == pytest.approx(expect, rel=1e-12)
+        expect = oracles.gaussian_prior_loss_reference(*rows, beta, w)
+        assert gaussian_loss(mu, lv, beta, w) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gaussian_loss_input_validation():
-    with pytest.raises(ValueError, match="shape"):
-        gaussian_prior_loss(np.zeros(3), np.zeros(4), np.zeros(3), 1e-3)
-    with pytest.raises(ValueError, match="finite"):
-        gaussian_prior_loss(np.array([np.nan]), np.zeros(1), np.zeros(1), 1e-3)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        gaussian_loss(np.array([np.nan]), np.zeros(1), np.zeros((1, 1)))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        gaussian_loss(np.zeros(1), np.array([np.inf]), np.zeros((1, 1)))
 
 
 def test_normalize_age_affine():
@@ -420,8 +426,8 @@ def make_diffusion_config(**kw):
 
 def test_untrained_denoiser_predicts_zero_noise():
     trips = make_triplets(12, seed=8)
-    sched = NoiseSchedule.linear(timesteps=20)
-    den = train_diffusion_prior(trips, sched, make_diffusion_config(epochs=0))
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=20, epochs=0))
+    sched = den.schedule
     assert den.loss_curve == []
 
     # zero output head holds for both raw and ema weights
@@ -435,8 +441,7 @@ def test_untrained_denoiser_predicts_zero_noise():
 
 def test_standardize_roundtrip_and_stats():
     trips = make_triplets(20, seed=10)
-    sched = NoiseSchedule.linear(timesteps=10)
-    den = train_diffusion_prior(trips, sched, make_diffusion_config(epochs=0))
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=10, epochs=0))
 
     betas = trips.betas
     np.testing.assert_allclose(den.target_shift, betas.mean(axis=0), rtol=1e-12)
@@ -449,9 +454,7 @@ def test_standardize_roundtrip_and_stats():
 
 def test_scale_floor_on_constant_targets():
     trips = make_triplets(8, seed=1, beta_fn=lambda z, a: np.full(SHAPE, 0.5))
-    den = train_diffusion_prior(
-        trips, NoiseSchedule.linear(timesteps=5), make_diffusion_config(epochs=0)
-    )
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=5, epochs=0))
     assert np.all(den.target_scale >= 1e-4)
     std = (trips.betas[0] - den.target_shift) / den.target_scale
     assert np.all(np.isfinite(std))
@@ -459,9 +462,7 @@ def test_scale_floor_on_constant_targets():
 
 def test_ema_update_formula():
     trips = make_triplets(6, seed=2)
-    den = train_diffusion_prior(
-        trips, NoiseSchedule.linear(timesteps=5), make_diffusion_config(epochs=0)
-    )
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=5, epochs=0))
     for k in den.params:
         den.params[k] = np.full_like(den.params[k], 2.0)
         den.ema_params[k] = np.zeros_like(den.ema_params[k])
@@ -473,8 +474,9 @@ def test_ema_update_formula():
 
 def test_diffusion_gradients_match_finite_differences():
     trips = make_triplets(3, seed=21)
-    sched = NoiseSchedule.linear(timesteps=12)
-    den = train_diffusion_prior(trips, sched, make_diffusion_config(hidden_width=6, epochs=0))
+    den = train_diffusion_prior(
+        trips, make_diffusion_config(hidden_width=6, timesteps=12, epochs=0)
+    )
     rng = np.random.default_rng(22)
     for k in den.params:
         den.params[k] = den.params[k] + rng.normal(0.0, 0.1, den.params[k].shape)
@@ -499,26 +501,24 @@ def test_diffusion_gradients_match_finite_differences():
             assert g.ravel()[idx] == pytest.approx(fd, rel=1e-3, abs=1e-8), k
 
 
-def test_train_step_schedule_mismatch_raises():
+def test_sampler_refuses_a_schedule_the_denoiser_was_not_trained_with():
     trips = make_triplets(4, seed=5)
-    den = train_diffusion_prior(
-        trips, NoiseSchedule.linear(timesteps=10), make_diffusion_config(epochs=0)
-    )
-    other = NoiseSchedule.linear(timesteps=20)
-    with pytest.raises(ValueError, match="does not match"):
-        ancestral_sample(den, other, (trips.latents[0], 70.0), seed=0)
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=10, epochs=0))
+    ancestral_sample(den, NoiseSchedule.linear(10), (trips.latents[0], 70.0), seed=0)
+    for other in (NoiseSchedule.linear(20), NoiseSchedule.linear(10, beta_end=0.05)):
+        with pytest.raises(ValueError, match="does not match"):
+            ancestral_sample(den, other, (trips.latents[0], 70.0), seed=0)
 
 
 def test_train_diffusion_prior_end_to_end():
     trips = make_triplets(64, seed=33)
-    sched = NoiseSchedule.linear(timesteps=60)
-    den = train_diffusion_prior(trips, sched, make_diffusion_config(epochs=40))
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=60, epochs=40))
 
     assert len(den.loss_curve) == 40
     assert den.loss_curve[-1] < den.loss_curve[0]
     assert np.mean(den.loss_curve[-5:]) < np.mean(den.loss_curve[:5])
 
-    out = sample_beta_averaged(den, sched, (trips.latents[0], trips.ages[0]), k=3, seed=9)
+    out = sample_beta_averaged(den, den.schedule, (trips.latents[0], trips.ages[0]), k=3, seed=9)
     assert out.shape == SHAPE
     assert np.all(np.isfinite(out))
 
@@ -528,33 +528,29 @@ def test_diffusion_training_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged: non-finite loss"):
             train_diffusion_prior(
-                trips, NoiseSchedule.linear(timesteps=20),
-                make_diffusion_config(epochs=5, learning_rate=1e200),
+                trips, make_diffusion_config(timesteps=20, epochs=5, learning_rate=1e200)
             )
 
 
 def test_diffusion_empty_triplets_rejected():
     with pytest.raises(ValueError, match="triplet"):
-        train_diffusion_prior(
-            build_triplets([], {}), NoiseSchedule.linear(timesteps=5), make_diffusion_config()
-        )
+        train_diffusion_prior(build_triplets([], {}), make_diffusion_config(timesteps=5))
 
 
 def test_denoiser_save_load_roundtrip(tmp_path):
     trips = make_triplets(24, seed=40)
-    sched = NoiseSchedule.linear(timesteps=25)
-    den = train_diffusion_prior(trips, sched, make_diffusion_config(epochs=8))
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=25, epochs=8))
     save_denoiser(den, tmp_path / "d.mrxt", tmp_path / "d.json")
     loaded = load_denoiser(tmp_path / "d.mrxt", tmp_path / "d.json")
 
     assert loaded.config == den.config
-    assert loaded.timesteps == den.timesteps
+    np.testing.assert_array_equal(loaded.schedule.betas, den.schedule.betas)
     for k in ("w_hidden", "b_out"):  # beta + latent + age + embedding width, beta width
         assert loaded.params[k].shape == den.params[k].shape, k
     assert loaded.loss_curve == pytest.approx(den.loss_curve)
     np.testing.assert_allclose(loaded.target_shift, den.target_shift, rtol=1e-6)
 
     cond = (trips.latents[1], trips.ages[1])
-    a = ancestral_sample(den, sched, cond, seed=2)
-    b = ancestral_sample(loaded, sched, cond, seed=2)
+    a = ancestral_sample(den, den.schedule, cond, seed=2)
+    b = ancestral_sample(loaded, loaded.schedule, cond, seed=2)
     np.testing.assert_allclose(b, a, rtol=1e-4, atol=1e-5)
