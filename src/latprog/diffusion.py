@@ -1,14 +1,18 @@
-"""Denoising-diffusion prior over beta with ancestral sampling.
+"""Denoising-diffusion prior over beta with batched ancestral sampling.
 
 A shallow conditional denoiser is trained to predict the noise injected
 into standardized beta targets; sampling runs the standard reverse chain
-and averages K independent draws.  The linear noise schedule is part of
-the denoiser's config (``DiffusionConfig.schedule``), so a stored denoiser
-samples with the schedule it was trained on and a mismatched one is
-refused.  The chain operates in a standardized target space (shift/scale
-estimated from the training triplets) so the unit-Gaussian start matches
-the target scale; a raw callable passed to the sampler bypasses the
-standardization, which lets closed-form denoisers drive the exact chain.
+and averages K independent draws.  The chains of every forecast run as
+rows of one state in a single reverse loop (``sample_betas``), so each
+step makes one row-batched denoiser call (``predict_noise``); each chain
+still draws from its own seeded generator, so a row's draws do not depend
+on the other rows.  The linear noise schedule is part of the denoiser's
+config (``DiffusionConfig.schedule``), so a stored denoiser samples with
+the schedule it was trained on and a mismatched one is refused.  The chain
+operates in a standardized target space (shift/scale estimated from the
+training triplets) so the unit-Gaussian start matches the target scale; a
+raw callable passed to the sampler bypasses the standardization, which
+lets closed-form denoisers drive the exact chain.
 """
 
 from __future__ import annotations
@@ -148,8 +152,10 @@ def _init_denoiser(
 
 def _denoiser_features(
     denoiser: DiffusionDenoiser, x_std: np.ndarray, latents: np.ndarray,
-    ages: np.ndarray, t: np.ndarray
+    ages: np.ndarray, t
 ) -> np.ndarray:
+    """Input rows [x, latent, age, embedding of t]; ``t`` is one step for
+    every row or an array of steps, one per row."""
     b = x_std.shape[0]
     emb = timestep_embedding(t, denoiser.config.timesteps, denoiser.config.embed_width)
     return np.concatenate(
@@ -157,7 +163,7 @@ def _denoiser_features(
             x_std.reshape(b, -1),
             latents.reshape(b, -1),
             normalize_age(ages).reshape(b, 1),
-            emb.reshape(b, -1),
+            np.broadcast_to(emb, (b, emb.shape[-1])),
         ],
         axis=1,
     )
@@ -168,15 +174,18 @@ def _net_forward(params: dict[str, np.ndarray], x: np.ndarray):
     return h @ params["w_out"].T + params["b_out"], h
 
 
-def predict_noise(denoiser: DiffusionDenoiser, x_std, latent, age, t) -> np.ndarray:
-    """epsilon_theta of the EMA weights for one standardized noised target."""
+def predict_noise(denoiser: DiffusionDenoiser, x_std, latents, ages, t: int) -> np.ndarray:
+    """epsilon_theta of the EMA weights at step t, one row per noised target.
+
+    ``x_std`` (n, d) holds standardized noised targets, conditioned row by
+    row on ``latents`` (n, k) and ``ages`` (n,).
+    """
     feats = _denoiser_features(
-        denoiser, np.asarray(x_std, dtype=np.float64)[None],
-        np.asarray(latent, dtype=np.float64)[None], np.array([age], dtype=np.float64),
-        np.array([t]),
+        denoiser, np.asarray(x_std, dtype=np.float64), np.asarray(latents, dtype=np.float64),
+        np.asarray(ages, dtype=np.float64), t,
     )
     out, _ = _net_forward(denoiser.ema_params, feats)
-    return out[0]
+    return out
 
 
 def loss_and_grads(
@@ -245,6 +254,56 @@ def train_diffusion_prior(triplets: Triplets, config: DiffusionConfig) -> Diffus
     return denoiser
 
 
+def _chain_draws(seeds, shape: tuple[int, ...], timesteps: int, sample_noise: bool):
+    """Start states (n, *shape) and step noise (T - 1, n, *shape) of n chains.
+
+    Chain i draws from its own ``default_rng(seeds[i])``: its start state,
+    then its whole step-noise block in one call, which is the same stream as
+    one draw per step from T down to 2.  Without ``sample_noise`` only the
+    start states are drawn and the step noise is zero.
+    """
+    x = np.empty((len(seeds), *shape))
+    noise = np.zeros((len(seeds), timesteps - 1, *shape))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=x[i, ...])
+        if sample_noise:
+            rng.standard_normal(out=noise[i, ...])
+    return x, noise.swapaxes(0, 1)
+
+
+def _reverse_chain(schedule: NoiseSchedule, x: np.ndarray, noise: np.ndarray, eps_of) -> np.ndarray:
+    """Run the reverse update from T down to 1 on the state ``x``.
+
+    ``eps_of(x, t)`` predicts the noise in ``x`` at step t, and
+    ``noise[T - t]`` is added after step t for t > 1.
+    """
+    alphas, abars = schedule.alphas, schedule.alpha_bars
+    for t in range(schedule.timesteps, 0, -1):
+        eps_hat = eps_of(x, t)
+        a_t, ab_t = alphas[t], abars[t]
+        x = x / np.sqrt(a_t) - (1.0 - a_t) / np.sqrt(a_t * (1.0 - ab_t)) * eps_hat
+        if t > 1:
+            var = (1.0 - abars[t - 1]) / (1.0 - ab_t) * (1.0 - a_t)
+            x = x + np.sqrt(var) * noise[schedule.timesteps - t]
+    return x
+
+
+def _trained_chains(
+    denoiser: DiffusionDenoiser, latents, ages, seeds, sample_noise: bool = True
+) -> np.ndarray:
+    """Destandardized end states of trained chains: row i is seeded
+    ``seeds[i]`` and conditioned on ``latents[i]`` and ``ages[i]``."""
+    schedule = denoiser.schedule
+    x, noise = _chain_draws(
+        seeds, denoiser.params["b_out"].shape, schedule.timesteps, sample_noise
+    )
+    x = _reverse_chain(
+        schedule, x, noise, lambda x, t: predict_noise(denoiser, x, latents, ages, t)
+    )
+    return destandardize_target(denoiser, x)
+
+
 def ancestral_sample(
     denoiser,
     schedule: NoiseSchedule,
@@ -263,32 +322,45 @@ def ancestral_sample(
     trained with; a plain callable (x, z, a, t) runs the chain as-is.
     """
     z_cond, age = condition
-    trained = isinstance(denoiser, DiffusionDenoiser)
-    if trained:
+    if isinstance(denoiser, DiffusionDenoiser):
         if not np.array_equal(schedule.betas, denoiser.schedule.betas):
             raise ValueError("schedule does not match the one the denoiser was trained with")
-        chain_shape: tuple[int, ...] = denoiser.params["b_out"].shape
-    elif shape is not None:
-        chain_shape = tuple(shape)
-    else:
-        chain_shape = np.asarray(z_cond).shape
+        return _trained_chains(denoiser, np.asarray(z_cond)[None], [age], [seed], sample_noise)[0]
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(chain_shape)
-    alphas, abars = schedule.alphas, schedule.alpha_bars
-    for t in range(schedule.timesteps, 0, -1):
-        if trained:
-            eps_hat = predict_noise(denoiser, x, z_cond, age, t)
-        else:
-            eps_hat = np.asarray(denoiser(x, z_cond, age, t), dtype=np.float64)
-        a_t, ab_t = alphas[t], abars[t]
-        x = x / np.sqrt(a_t) - (1.0 - a_t) / np.sqrt(a_t * (1.0 - ab_t)) * eps_hat
-        if t > 1 and sample_noise:
-            var = (1.0 - abars[t - 1]) / (1.0 - ab_t) * (1.0 - a_t)
-            x = x + np.sqrt(var) * rng.standard_normal(chain_shape)
-    if trained:
-        return destandardize_target(denoiser, x)
-    return x
+    chain_shape = tuple(shape) if shape is not None else np.asarray(z_cond).shape
+    x, noise = _chain_draws([seed], chain_shape, schedule.timesteps, sample_noise)
+    return _reverse_chain(
+        schedule, x[0], noise[:, 0],
+        lambda x, t: np.asarray(denoiser(x, z_cond, age, t), dtype=np.float64),
+    )
+
+
+def sample_betas(
+    denoiser: DiffusionDenoiser, latents, ages, seeds, k: int
+) -> np.ndarray:
+    """Averaged beta draws for n conditions, all chains in one reverse loop.
+
+    Row i is the elementwise mean of k ancestral samples conditioned on
+    (``latents[i]``, ``ages[i]``) with seeds ``seeds[i]`` .. ``seeds[i]+k-1``,
+    each drawn as ``ancestral_sample`` draws it.  The n*k chains are the rows
+    of one state, so each step makes one denoiser call; results match
+    ``sample_beta_averaged`` up to the summation order of the batched matmul.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    latents = np.asarray(latents, dtype=np.float64)
+    ages = np.asarray(ages, dtype=np.float64)
+    if not len(latents) == len(ages) == len(seeds):
+        raise ValueError(
+            f"latents, ages and seeds differ in length: {len(latents)}, {len(ages)}, {len(seeds)}"
+        )
+    if len(seeds) == 0:
+        return np.empty((0, *denoiser.params["b_out"].shape))
+    rows = _trained_chains(
+        denoiser, np.repeat(latents, k, axis=0), np.repeat(ages, k),
+        [int(seed) + j for seed in seeds for j in range(k)],
+    )
+    return rows.reshape(len(seeds), k, *rows.shape[1:]).mean(axis=1)
 
 
 def sample_beta_averaged(

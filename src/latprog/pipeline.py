@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation, phantom
 from .autoencoder import decode, encode, load_model, save_model, train_autoencoder
 from .config import SEED_OFFSETS, RunConfig
-from .diffusion import load_denoiser, save_denoiser, train_diffusion_prior
+from .diffusion import load_denoiser, sample_betas, save_denoiser, train_diffusion_prior
 from .errors import MissingDependencyError
 from .evaluation import write_csv, write_metrics_csv
 from .gaussian_prior import load_gaussian_prior, save_gaussian_prior, train_gaussian_prior
@@ -273,6 +273,13 @@ def stage_predict(cfg: RunConfig, out: Path) -> list[str]:
     beliefs = _load_beliefs(out, sources, cfg)
     sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
     seqs = [s for s in _sequences_from_latents(tensors, meta, split="test") if len(s.ages) >= 2]
+    if "diffusion" in sources:
+        # Every case's chains in one batched reverse loop, conditioned on its
+        # latest conditioning scan, as resolve_beta conditions one case.
+        diffusion_betas = sample_betas(
+            beliefs["denoiser"], [s.latents[-2] for s in seqs], [s.ages[-2] for s in seqs],
+            [sampling_seed + case_idx for case_idx in range(len(seqs))], beliefs["k_samples"],
+        )
     volumes = []
     index = {}
     for case_idx, seq in enumerate(seqs):
@@ -281,10 +288,10 @@ def stage_predict(cfg: RunConfig, out: Path) -> list[str]:
         entry = {"target_age": target_age, "conditioning_ages": [a for _, a in cond],
                  "sources": {}}
         for source in _forecast_sources(sources, len(cond)):
-            kw = dict(beliefs)
             if source == "diffusion":
-                kw["seed"] = sampling_seed + case_idx
-            beta = resolve_beta(cond, source, **kw)
+                beta = diffusion_betas[case_idx]
+            else:
+                beta = resolve_beta(cond, source, **beliefs)
             z_star = extrapolate(cond[-1][0], cond[-1][1], beta, target_age)
             rel = f"predictions/{source}/{seq.subject_id}.mrxt"
             (out / "predictions" / source).mkdir(parents=True, exist_ok=True)

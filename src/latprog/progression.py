@@ -293,8 +293,6 @@ def resolve_beta(
     # diffusion
     if denoiser is None:
         raise ValueError("diffusion source requires a trained denoiser")
-    from .diffusion import sample_beta_averaged
+    from .diffusion import sample_betas
 
-    return sample_beta_averaged(
-        denoiser, denoiser.schedule, (latest_z, latest_a), k=k_samples, seed=seed
-    )
+    return sample_betas(denoiser, np.asarray(latest_z)[None], [latest_a], [seed], k_samples)[0]

@@ -13,7 +13,9 @@ import pytest
 from latprog import pipeline
 from latprog.autoencoder import decode, load_model
 from latprog.cli import main
-from latprog.config import load_config
+from latprog.config import SEED_OFFSETS, load_config
+from latprog.diffusion import load_denoiser
+from latprog.gaussian_prior import load_gaussian_prior
 from latprog.progression import GaussianBelief, ObservationNoise, extrapolate, resolve_beta
 from latprog.stages import PREDICTIONS, STAGES
 from latprog.tensorfile import read_tensor, read_tensors
@@ -164,9 +166,12 @@ def test_evaluate_before_predict_names_predict(chain_run, capsys):
 
 
 def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run):
-    """Each global_prior, posterior and regression forecast decodes the latest
-    conditioning latent moved along the source's rate to the target age."""
-    out, _ = all_sources_run
+    """Each forecast decodes the latest conditioning latent moved along the
+    source's rate to the target age.  Diffusion rates come from predict's one
+    batched sampling call; here they are re-sampled one case at a time, which
+    ties the batched stage path to resolve_beta's, up to matmul summation order."""
+    out, cfg_path = all_sources_run
+    cfg = load_config(cfg_path)
     model = load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
     latents = read_tensors(out / "latents" / "latents.mrxt")
     beliefs = {
@@ -174,18 +179,32 @@ def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run)
         "obs_noise": ObservationNoise(
             read_tensors(out / "priors" / "obs_noise.mrxt")["variance"].astype(np.float64)
         ),
+        "gaussian_net": load_gaussian_prior(
+            out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
+        ),
+        "denoiser": load_denoiser(
+            out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
+        ),
+        "k_samples": cfg.diffusion.k_samples,
     }
+    sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
     checked = 0
-    for sid, case in json.loads((out / PREDICTIONS).read_text()).items():
+    # predict numbers its cases in subject order
+    index = json.loads((out / PREDICTIONS).read_text())
+    for case_idx, sid in enumerate(sorted(index)):
+        case = index[sid]
         cond = [(latents[f"{sid}/{i}"].astype(np.float64), age)
                 for i, age in enumerate(case["conditioning_ages"])]
-        for source in ("global_prior", "posterior", "regression"):
-            beta = resolve_beta(cond, source, **beliefs)
+        for source in ("global_prior", "posterior", "regression", "gaussian_net", "diffusion"):
+            beta = resolve_beta(cond, source, seed=sampling_seed + case_idx, **beliefs)
             expect = decode(model, extrapolate(*cond[-1], beta, case["target_age"]))
             stored = read_tensor(out / case["sources"][source])
-            np.testing.assert_array_equal(stored, expect.astype(np.float32), err_msg=source)
+            if source == "diffusion":
+                np.testing.assert_allclose(stored, expect, rtol=1e-6, err_msg=source)
+            else:
+                np.testing.assert_array_equal(stored, expect.astype(np.float32), err_msg=source)
             checked += 1
-    assert checked >= 3
+    assert checked >= 5
 
 
 def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(

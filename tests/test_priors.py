@@ -15,6 +15,7 @@ from latprog.diffusion import (
     forward_noise,
     load_denoiser,
     sample_beta_averaged,
+    sample_betas,
     save_denoiser,
     destandardize_target,
     timestep_embedding,
@@ -508,6 +509,32 @@ def test_sampler_refuses_a_schedule_the_denoiser_was_not_trained_with():
     for other in (NoiseSchedule.linear(20), NoiseSchedule.linear(10, beta_end=0.05)):
         with pytest.raises(ValueError, match="does not match"):
             ancestral_sample(den, other, (trips.latents[0], 70.0), seed=0)
+
+
+def test_batched_betas_match_per_condition_averages():
+    trips = make_triplets(32, seed=12)
+    den = train_diffusion_prior(trips, make_diffusion_config(timesteps=20, epochs=10))
+    latents, ages, seeds = trips.latents[:3], trips.ages[:3], [7, 40, 41]
+
+    batched = sample_betas(den, latents, ages, seeds, k=3)
+    assert batched.shape == (3, DIM)
+    for i in range(3):
+        # not exact: the matmul sums in another order for another row count
+        expect = sample_beta_averaged(den, den.schedule, (latents[i], ages[i]), k=3, seed=seeds[i])
+        np.testing.assert_allclose(batched[i], expect, rtol=0, atol=1e-12)
+
+    one = sample_betas(den, latents[:1], ages[:1], seeds[:1], k=1)
+    np.testing.assert_allclose(
+        one[0], ancestral_sample(den, den.schedule, (latents[0], ages[0]), seed=7),
+        rtol=0, atol=1e-12,
+    )
+    assert sample_betas(den, latents[:0], ages[:0], [], k=3).shape == (0, DIM)
+
+    with pytest.raises(ValueError, match="at least 1"):
+        sample_betas(den, latents, ages, seeds, k=0)
+    for args in ((latents[:2], ages, seeds), (latents, ages[:2], seeds), (latents, ages, seeds[:2])):
+        with pytest.raises(ValueError, match="differ in length"):
+            sample_betas(den, *args, k=3)
 
 
 def test_train_diffusion_prior_end_to_end():
