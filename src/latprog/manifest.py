@@ -1,8 +1,9 @@
-"""Cohort persistence: JSON manifest plus one tensor file per scan volume.
+"""Cohort persistence: JSON manifest plus one tensor container of scan volumes.
 
 The manifest is written with sorted keys and fixed indentation so that
-load -> dump round-trips byte-stably; volumes are float32 tensor files,
-which makes the whole cohort bit-reproducible from (spec, seed).
+load -> dump round-trips byte-stably; the volumes are float32 entries of
+volumes.mrxt keyed ``<subject_id>/<scan index>``, which makes the whole
+cohort bit-reproducible from (spec, seed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
-from .tensorfile import canonical_json, read_tensor, write_tensor
+from .tensorfile import canonical_json, read_tensors, write_tensors
 
 
 def geometry_to_dict(geom) -> dict:
@@ -84,30 +85,25 @@ def spec_from_dict(data: dict) -> phantom.PhantomSpec:
     return spec
 
 
-def _volume_filename(subject_id: str, scan_idx: int) -> str:
-    return f"volumes/{subject_id}_s{scan_idx}.mrxt"
-
-
 def save_cohort(cohort: phantom.Cohort, out_dir, cohort_id: str) -> Path:
-    """Write manifest.json and per-scan volume tensors under out_dir."""
+    """Write manifest.json and volumes.mrxt under out_dir."""
     out = Path(out_dir)
-    (out / "volumes").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
+    volumes: dict[str, np.ndarray] = {}
     subjects = []
     split_assignment: dict[str, list[str]] = {}
     for subject in cohort.subjects:
         split_assignment.setdefault(subject.split, []).append(subject.subject_id)
         scans = []
         for idx, scan in enumerate(subject.scans):
-            rel = _volume_filename(subject.subject_id, idx)
             if scan.volume is None:
                 raise ValueError(f"scan {subject.subject_id}/{idx} has no volume")
-            write_tensor(out / rel, scan.volume)
+            volumes[f"{subject.subject_id}/{idx}"] = scan.volume
             scans.append(
                 {
                     "age": scan.age,
                     "diagnosis_at_scan": scan.diagnosis_at_scan,
                     "seed": scan.seed,
-                    "volume_path": rel,
                 }
             )
         subjects.append(
@@ -125,6 +121,7 @@ def save_cohort(cohort: phantom.Cohort, out_dir, cohort_id: str) -> Path:
         "subjects": subjects,
         "split_assignment": {k: sorted(v) for k, v in sorted(split_assignment.items())},
     }
+    write_tensors(out / "volumes.mrxt", volumes)
     path = out / "manifest.json"
     path.write_text(canonical_json(manifest))
     return path
@@ -134,6 +131,7 @@ def load_cohort(cohort_dir) -> phantom.Cohort:
     root = Path(cohort_dir)
     manifest = json.loads((root / "manifest.json").read_text())
     spec = spec_from_dict(manifest["spec"])
+    volumes = read_tensors(root / "volumes.mrxt")
     subjects = []
     for entry in manifest["subjects"]:
         scans = [
@@ -142,9 +140,9 @@ def load_cohort(cohort_dir) -> phantom.Cohort:
                 age=scan["age"],
                 diagnosis_at_scan=scan["diagnosis_at_scan"],
                 seed=scan["seed"],
-                volume=read_tensor(root / scan["volume_path"]),
+                volume=volumes[f"{entry['subject_id']}/{idx}"],
             )
-            for scan in entry["scans"]
+            for idx, scan in enumerate(entry["scans"])
         ]
         subjects.append(
             phantom.SubjectRecord(

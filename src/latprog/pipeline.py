@@ -36,8 +36,8 @@ from .progression import (
     extrapolate,
     resolve_beta,
 )
-from .stages import GLOBAL_PRIOR_SOURCES, PREDICTIONS, STAGES, producer
-from .tensorfile import canonical_json, read_tensor, read_tensors, write_tensor, write_tensors
+from .stages import FORECASTS, GLOBAL_PRIOR_SOURCES, PREDICTIONS, STAGES, producer
+from .tensorfile import canonical_json, read_tensors, write_tensors
 
 log = logging.getLogger(__name__)
 
@@ -261,8 +261,8 @@ def _forecast_sources(sources, n_conditioning: int) -> list[str]:
     return [s for s in sources if s != "regression" or n_conditioning >= 2]
 
 
-def stage_predict(cfg: RunConfig, out: Path) -> list[str]:
-    """Decode one forecast volume per (test subject, source).
+def stage_predict(cfg: RunConfig, out: Path) -> None:
+    """Decode one forecast volume per (test subject, source), keyed ``<source>/<sid>``.
 
     Each test subject with two or more scans is conditioned on all but its
     last scan and forecast at the last scan's age.
@@ -280,27 +280,24 @@ def stage_predict(cfg: RunConfig, out: Path) -> list[str]:
             beliefs["denoiser"], [s.latents[-2] for s in seqs], [s.ages[-2] for s in seqs],
             [sampling_seed + case_idx for case_idx in range(len(seqs))], beliefs["k_samples"],
         )
-    volumes = []
+    forecasts = {}
     index = {}
     for case_idx, seq in enumerate(seqs):
         cond = [(seq.latents[i], float(seq.ages[i])) for i in range(len(seq.ages) - 1)]
         target_age = float(seq.ages[-1])
-        entry = {"target_age": target_age, "conditioning_ages": [a for _, a in cond],
-                 "sources": {}}
-        for source in _forecast_sources(sources, len(cond)):
+        case_sources = _forecast_sources(sources, len(cond))
+        for source in case_sources:
             if source == "diffusion":
                 beta = diffusion_betas[case_idx]
             else:
                 beta = resolve_beta(cond, source, **beliefs)
             z_star = extrapolate(cond[-1][0], cond[-1][1], beta, target_age)
-            rel = f"predictions/{source}/{seq.subject_id}.mrxt"
-            (out / "predictions" / source).mkdir(parents=True, exist_ok=True)
-            write_tensor(out / rel, decode(model, z_star))
-            entry["sources"][source] = rel
-            volumes.append(rel)
-        index[seq.subject_id] = entry
+            forecasts[f"{source}/{seq.subject_id}"] = decode(model, z_star).astype(np.float32)
+        index[seq.subject_id] = {"target_age": target_age,
+                                 "conditioning_ages": [a for _, a in cond],
+                                 "sources": case_sources}
+    write_tensors(out / FORECASTS, forecasts)
     (out / PREDICTIONS).write_text(canonical_json(index))
-    return volumes
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
@@ -310,6 +307,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     spec = cohort.spec
     tensors, meta = _load_latents(out)
     index = json.loads((out / PREDICTIONS).read_text())
+    stored = read_tensors(out / FORECASTS)
     sources = cfg.evaluation.predict_sources
     subjects = {s.subject_id: s for s in cohort.subjects}
     region_names = [r.name for r in spec.regions]
@@ -321,11 +319,11 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         target_idx = int(np.argmin(np.abs(np.array(subject.ages()) - case["target_age"])))
         forecasts = []
         for source in _forecast_sources(sources, n_cond):
-            if source not in case["sources"]:
+            if f"{source}/{sid}" not in stored:
                 raise MissingDependencyError(
-                    producer(PREDICTIONS), f"no {source} forecast for {sid}"
+                    producer(FORECASTS), f"no {source} forecast for {sid}"
                 )
-            forecasts.append((source, n_cond, read_tensor(out / case["sources"][source])))
+            forecasts.append((source, n_cond, stored[f"{source}/{sid}"]))
         rows += evaluation.score_forecasts(spec, subject, target_idx, forecasts)
     write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
     summary: dict = {"holdout": evaluation.summarize_rows(rows)}

@@ -10,17 +10,17 @@ the BLAS thread count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MissingDependencyError
 
-COHORT = "cohort/manifest.json"
+COHORT = ("cohort/manifest.json", "cohort/volumes.mrxt")
 MODEL = ("ae/model.mrxt", "ae/model.json")
 LATENTS = ("latents/latents.mrxt", "latents/latents.json")
 BETAS = "betas/betas.mrxt"
 PREDICTIONS = "predictions/predictions.json"
+FORECASTS = "predictions/forecasts.mrxt"
 
 # Belief sources that use the population prior; evaluate draws the
 # multi-scan conditioning curve when one of them is configured.
@@ -31,18 +31,6 @@ PRIOR_FILES = {
     **dict.fromkeys(GLOBAL_PRIOR_SOURCES, ("priors/global.mrxt", "priors/obs_noise.mrxt")),
     "gaussian_net": ("priors/gaussian_net.mrxt", "priors/gaussian_net.json"),
     "diffusion": ("priors/diffusion.mrxt", "priors/diffusion.json"),
-}
-
-
-# Index files whose readers also read the files they list: every cohort
-# volume, and the forecasts of the configured belief sources.
-_LISTED_BY = {
-    COHORT: lambda manifest, sources: [
-        f"cohort/{scan['volume_path']}" for subject in manifest["subjects"] for scan in subject["scans"]
-    ],
-    PREDICTIONS: lambda index, sources: [
-        case["sources"][s] for case in index.values() for s in sources if s in case["sources"]
-    ],
 }
 
 
@@ -64,24 +52,19 @@ class Stage:
         for source in sources:
             if source in self.prior_sources:
                 declared.extend(PRIOR_FILES[source])
-        files = []
-        for rel in dict.fromkeys(declared):
-            _require(out, rel, rel)
-            files.append(rel)
-            if rel in _LISTED_BY:
-                listed = _LISTED_BY[rel](json.loads((out / rel).read_text()), sources)
-                for item in listed:
-                    _require(out, item, rel)
-                files.extend(listed)
+        files = list(dict.fromkeys(declared))
+        for rel in files:
+            if not (out / rel).is_file():
+                raise MissingDependencyError(producer(rel), f"{rel} not found")
         return files
 
 
 STAGES = {
     stage.name: stage
     for stage in (
-        Stage("generate-cohort", outputs=(COHORT,)),
-        Stage("train-ae", inputs=(COHORT,), outputs=MODEL),
-        Stage("encode", inputs=(*MODEL, COHORT), outputs=LATENTS),
+        Stage("generate-cohort", outputs=COHORT),
+        Stage("train-ae", inputs=COHORT, outputs=MODEL),
+        Stage("encode", inputs=(*MODEL, *COHORT), outputs=LATENTS),
         Stage("fit-betas", inputs=LATENTS, outputs=(BETAS,)),
         Stage("fit-global-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["global_prior"]),
         Stage("fit-gaussian-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["gaussian_net"]),
@@ -89,12 +72,12 @@ STAGES = {
         Stage(
             "predict",
             inputs=(*MODEL, *LATENTS),
-            outputs=(PREDICTIONS,),
+            outputs=(PREDICTIONS, FORECASTS),
             prior_sources=tuple(PRIOR_FILES),
         ),
         Stage(
             "evaluate",
-            inputs=(*MODEL, COHORT, *LATENTS, PREDICTIONS),
+            inputs=(*MODEL, *COHORT, *LATENTS, PREDICTIONS, FORECASTS),
             outputs=("metrics/rows.csv", "metrics/summary.json"),
             prior_sources=GLOBAL_PRIOR_SOURCES,
         ),
@@ -106,8 +89,3 @@ STAGES = {
 def producer(rel: str) -> str:
     """Name of the stage that writes rel."""
     return next(stage.name for stage in STAGES.values() if rel in stage.outputs)
-
-
-def _require(out: Path, rel: str, written_with: str) -> None:
-    if not (out / rel).is_file():
-        raise MissingDependencyError(producer(written_with), f"{rel} not found")

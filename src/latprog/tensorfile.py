@@ -15,6 +15,11 @@ declare its dtype (so the two kinds cannot be confused), a u32 entry count,
 and per entry: u16 name length, UTF-8 name, then dtype/ndim/dims/payload as
 above.
 
+Both kinds are streamed entry by entry through the open file, so reading or
+writing a container holds its tensors but never a second copy of its bytes.
+A write goes to a temporary file beside the target and replaces it only when
+complete: an interrupted write leaves the previous file as it was.
+
 A model is stored as a named container plus a JSON metadata file beside it.
 """
 
@@ -22,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,115 +49,135 @@ DTYPE_FLOAT32 = 0
 _CONTAINER_SENTINEL = 0xFF
 
 
-def _encode_tensor_body(array: np.ndarray) -> bytes:
+@contextmanager
+def _replacing(path: str | Path):
+    """An open binary file that replaces path when the block completes.
+
+    If the block raises, path is left as it was and the partial file removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_tensor_body(fh, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(array, dtype="<f4")
-    header = struct.pack("<BB", DTYPE_FLOAT32, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    return header + dims + arr.tobytes(order="C")
+    fh.write(struct.pack(f"<BB{arr.ndim}Q", DTYPE_FLOAT32, arr.ndim, *arr.shape))
+    fh.write(arr.data)
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
+    def __init__(self, fh, path: str):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _claim(self, n: int) -> None:
+        pos = self.fh.tell()
+        if pos + n > self.size:
             raise TruncatedPayloadError(
-                f"{self.path}: expected {n} more bytes at offset {self.pos}, "
-                f"file has {len(self.data) - self.pos}"
+                f"{self.path}: expected {n} more bytes at offset {pos}, "
+                f"file has {self.size - pos}"
             )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        return self.fh.read(n)
+
+    def take_floats(self, dims: tuple[int, ...]) -> np.ndarray:
+        count = 1
+        for d in dims:
+            count *= d
+        self._claim(4 * count)
+        arr = np.empty(count, dtype="<f4")
+        self.fh.readinto(arr)
+        return arr.reshape(dims)
 
     def done(self) -> None:
-        if self.pos != len(self.data):
-            raise TruncatedPayloadError(
-                f"{self.path}: {len(self.data) - self.pos} trailing bytes"
-            )
+        trailing = self.size - self.fh.tell()
+        if trailing:
+            raise TruncatedPayloadError(f"{self.path}: {trailing} trailing bytes")
 
 
-def _decode_tensor_body(r: _Reader) -> np.ndarray:
-    dtype_code, ndim = struct.unpack("<BB", r.take(2))
+def _read_tensor_body(r: _Reader, dtype_code: int) -> np.ndarray:
     if dtype_code != DTYPE_FLOAT32:
         raise UnsupportedDtypeError(
             f"{r.path}: dtype code {dtype_code} not supported (only 0 = float32)"
         )
-    dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
-    count = 1
-    for d in dims:
-        count *= d
-    payload = r.take(4 * count)
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    (ndim,) = r.take(1)
+    return r.take_floats(struct.unpack(f"<{ndim}Q", r.take(8 * ndim)))
 
 
-def _check_header(r: _Reader) -> None:
+def _read_header(r: _Reader) -> int:
+    """Check magic and version; return the next byte, a dtype or the container sentinel."""
     magic = r.take(4)
     if magic != MAGIC:
         raise BadMagicError(f"{r.path}: bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<B", r.take(1))
+    version, kind = r.take(2)
     if version != VERSION:
         raise VersionMismatchError(
             f"{r.path}: format version {version}, reader supports {VERSION}"
         )
+    return kind
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Write a single tensor; values are stored as little-endian float32."""
-    blob = MAGIC + struct.pack("<B", VERSION) + _encode_tensor_body(array)
-    Path(path).write_bytes(blob)
+    with _replacing(path) as fh:
+        fh.write(MAGIC + struct.pack("<B", VERSION))
+        _write_tensor_body(fh, array)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
     """Read a single-tensor file back as a float32 array."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    _check_header(r)
-    # Peek at the dtype byte: a container sentinel here means the caller used
-    # the wrong reader, which is worth a specific message.
-    if r.data[r.pos] == _CONTAINER_SENTINEL:
-        raise UnsupportedDtypeError(
-            f"{path}: this is a named-tensor container; use read_tensors()"
-        )
-    arr = _decode_tensor_body(r)
-    r.done()
+    with open(path, "rb") as fh:
+        r = _Reader(fh, str(path))
+        kind = _read_header(r)
+        # A container sentinel here means the caller used the wrong reader,
+        # which is worth a specific message.
+        if kind == _CONTAINER_SENTINEL:
+            raise UnsupportedDtypeError(
+                f"{path}: this is a named-tensor container; use read_tensors()"
+            )
+        arr = _read_tensor_body(r, kind)
+        r.done()
     return arr
 
 
 def write_tensors(path: str | Path, named: dict[str, np.ndarray]) -> None:
     """Write a named-tensor container.  Entry order follows dict order."""
-    parts = [
-        MAGIC,
-        struct.pack("<BB", VERSION, _CONTAINER_SENTINEL),
-        struct.pack("<I", len(named)),
-    ]
-    for name, array in named.items():
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(_encode_tensor_body(array))
-    Path(path).write_bytes(b"".join(parts))
+    with _replacing(path) as fh:
+        fh.write(MAGIC + struct.pack("<BBI", VERSION, _CONTAINER_SENTINEL, len(named)))
+        for name, array in named.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)) + encoded)
+            _write_tensor_body(fh, array)
 
 
 def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a named-tensor container written by :func:`write_tensors`."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    _check_header(r)
-    (sentinel,) = struct.unpack("<B", r.take(1))
-    if sentinel != _CONTAINER_SENTINEL:
-        raise UnsupportedDtypeError(
-            f"{path}: not a named-tensor container (single tensor? use read_tensor())"
-        )
-    (count,) = struct.unpack("<I", r.take(4))
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", r.take(2))
-        name = r.take(name_len).decode("utf-8")
-        if name in out:
-            raise TensorFileError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = _decode_tensor_body(r)
-    r.done()
+    with open(path, "rb") as fh:
+        r = _Reader(fh, str(path))
+        if _read_header(r) != _CONTAINER_SENTINEL:
+            raise UnsupportedDtypeError(
+                f"{path}: not a named-tensor container (single tensor? use read_tensor())"
+            )
+        (count,) = struct.unpack("<I", r.take(4))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", r.take(2))
+            name = r.take(name_len).decode("utf-8")
+            if name in out:
+                raise TensorFileError(f"{path}: duplicate tensor name {name!r}")
+            (dtype_code,) = r.take(1)
+            out[name] = _read_tensor_body(r, dtype_code)
+        r.done()
     return out
 
 

@@ -17,8 +17,8 @@ from latprog.config import SEED_OFFSETS, load_config
 from latprog.diffusion import load_denoiser
 from latprog.gaussian_prior import load_gaussian_prior
 from latprog.progression import GaussianBelief, ObservationNoise, extrapolate, resolve_beta
-from latprog.stages import PREDICTIONS, STAGES
-from latprog.tensorfile import read_tensor, read_tensors
+from latprog.stages import FORECASTS, PREDICTIONS, STAGES
+from latprog.tensorfile import read_tensors
 
 MINI_CONFIG = {
     "seed": 5,
@@ -191,6 +191,7 @@ def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run)
     checked = 0
     # predict numbers its cases in subject order
     index = json.loads((out / PREDICTIONS).read_text())
+    forecasts = read_tensors(out / FORECASTS)
     for case_idx, sid in enumerate(sorted(index)):
         case = index[sid]
         cond = [(latents[f"{sid}/{i}"].astype(np.float64), age)
@@ -198,7 +199,7 @@ def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run)
         for source in ("global_prior", "posterior", "regression", "gaussian_net", "diffusion"):
             beta = resolve_beta(cond, source, seed=sampling_seed + case_idx, **beliefs)
             expect = decode(model, extrapolate(*cond[-1], beta, case["target_age"]))
-            stored = read_tensor(out / case["sources"][source])
+            stored = forecasts[f"{source}/{sid}"]
             if source == "diffusion":
                 np.testing.assert_allclose(stored, expect, rtol=1e-6, err_msg=source)
             else:
@@ -219,10 +220,13 @@ def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(
     cfg_path.write_text(json.dumps({**ALL_SOURCES_CONFIG, "diffusion": diffusion}))
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
 
-    forecasts = sorted((first / "predictions" / "diffusion").iterdir())
-    assert forecasts
-    for path in forecasts:
-        assert (out / "predictions" / "diffusion" / path.name).read_bytes() == path.read_bytes()
+    def diffusion_forecasts(root):
+        return {k: v for k, v in read_tensors(root / FORECASTS).items() if k.startswith("diffusion/")}
+
+    before, after = diffusion_forecasts(first), diffusion_forecasts(out)
+    assert before and before.keys() == after.keys()
+    for key in before:
+        np.testing.assert_array_equal(after[key], before[key], err_msg=key)
 
 
 def test_run_records_hash_exactly_the_files_each_stage_reads(
@@ -261,18 +265,48 @@ def test_run_records_hash_exactly_the_files_each_stage_reads(
         return inputs
 
     inputs = {stage: run_and_check(stage, ALL_SOURCES_CONFIG) for stage in STAGES}
-    assert any(rel.startswith("cohort/volumes/") for rel in inputs["evaluate"])
-    assert any(rel.startswith("predictions/diffusion/") for rel in inputs["evaluate"])
+    assert {"cohort/volumes.mrxt", FORECASTS} <= set(inputs["evaluate"])
     assert "priors/diffusion.json" in inputs["predict"]
 
     narrowed = {**ALL_SOURCES_CONFIG, "evaluation": {"predict_sources": ["posterior"]}}
-    forecasts = {
-        rel for rel in run_and_check("evaluate", narrowed) if rel.startswith("predictions/")
+    assert {"cohort/volumes.mrxt", FORECASTS} <= set(run_and_check("evaluate", narrowed))
+
+
+def test_every_file_a_run_leaves_is_listed_in_a_run_record(all_sources_run, tmp_path):
+    """Apart from the lock and the records themselves, a stage writes only
+    files its record lists as outputs."""
+    out = tmp_path / "out"
+    shutil.copytree(all_sources_run[0], out)
+    cfg_path = all_sources_run[1]
+    for stage in ("evaluate", "analyze-beta"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
+
+    records = [json.loads(path.read_text()) for path in (out / "runs").iterdir()]
+    assert {record["stage"] for record in records} == set(STAGES)
+    listed = {rel for record in records for rel in record["outputs"]}
+    left = {
+        path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()
     }
-    assert forecasts and all(
-        rel.startswith("predictions/posterior/") or rel == "predictions/predictions.json"
-        for rel in forecasts
-    )
+    unlisted = {rel for rel in left - listed if rel != ".lock" and not rel.startswith("runs/")}
+    assert not unlisted
+
+
+def test_evaluate_of_a_source_predict_did_not_forecast_names_predict(chain_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(chain_run[0], out)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**MINI_CONFIG, "evaluation": {"predict_sources": ["posterior"]}}))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+    both = ["posterior", "global_prior"]
+    cfg_path.write_text(json.dumps({**MINI_CONFIG, "evaluation": {"predict_sources": both}}))
+    capsys.readouterr()
+
+    rc = main(["evaluate", "--config", str(cfg_path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1
+    assert lines[0].startswith("error: missing dependency: run stage 'predict' first")
+    assert "no global_prior forecast for" in lines[0]
 
 
 def test_cli_parser_loads_no_numpy():

@@ -92,21 +92,37 @@ def test_unsupported_dtype_code(tmp_path):
         read_tensor(path)
 
 
-def test_truncated_payload(tmp_path):
-    path = tmp_path / "t.mrxt"
+def _single(path):
     write_tensor(path, np.zeros((4, 4), dtype=np.float32))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(TruncatedPayloadError):
-        read_tensor(path)
+    return read_tensor
 
 
-def test_trailing_bytes_rejected(tmp_path):
+def _container(path):
+    write_tensors(path, {"first": np.zeros((2, 3), dtype=np.float32),
+                         "second": np.ones((4, 4), dtype=np.float32)})
+    return read_tensors
+
+
+@pytest.mark.parametrize("write, keep", [
+    (_single, lambda raw: raw[:-5]),
+    (_container, lambda raw: raw[:-5]),
+    (_container, lambda raw: raw[:raw.index(b"second") + 3]),
+], ids=["single", "container-last-entry", "container-entry-name"])
+def test_truncated_payload(tmp_path, write, keep):
     path = tmp_path / "t.mrxt"
-    write_tensor(path, np.zeros((2, 2), dtype=np.float32))
+    read = write(path)
+    path.write_bytes(keep(path.read_bytes()))
+    with pytest.raises(TruncatedPayloadError):
+        read(path)
+
+
+@pytest.mark.parametrize("write", [_single, _container], ids=["single", "container"])
+def test_trailing_bytes_rejected(tmp_path, write):
+    path = tmp_path / "t.mrxt"
+    read = write(path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(TensorFileError):
-        read_tensor(path)
+        read(path)
 
 
 def test_error_taxonomy_is_rooted():
@@ -153,3 +169,15 @@ class TestContainer:
         path.write_bytes(raw[:-3])
         with pytest.raises(TensorFileError):
             read_tensors(path)
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "c.mrxt"
+        write_tensors(path, {"a": np.ones((3,), dtype=np.float32)})
+        before = path.read_bytes()
+        # the second entry cannot be encoded as float32: the write raises
+        # after the header and the first entry have gone out
+        with pytest.raises(ValueError):
+            write_tensors(path, {"a": np.zeros((8, 8), dtype=np.float32),
+                                 "b": np.array(["not a number"])})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.mrxt"]
