@@ -275,10 +275,12 @@ def stage_predict(cfg: RunConfig, out: Path) -> None:
     seqs = [s for s in _sequences_from_latents(tensors, meta, split="test") if len(s.ages) >= 2]
     if "diffusion" in sources:
         # Every case's chains in one batched reverse loop, conditioned on its
-        # latest conditioning scan, as resolve_beta conditions one case.
+        # latest conditioning scan, as resolve_beta conditions one case.  Case
+        # i's k chains are seeded sampling_seed + k*i onwards: no two share noise.
+        k = beliefs["k_samples"]
         diffusion_betas = sample_betas(
             beliefs["denoiser"], [s.latents[-2] for s in seqs], [s.ages[-2] for s in seqs],
-            [sampling_seed + case_idx for case_idx in range(len(seqs))], beliefs["k_samples"],
+            [sampling_seed + k * case_idx for case_idx in range(len(seqs))], k,
         )
     forecasts = {}
     index = {}

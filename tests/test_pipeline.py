@@ -14,7 +14,7 @@ from latprog import pipeline
 from latprog.autoencoder import decode, load_model
 from latprog.cli import main
 from latprog.config import SEED_OFFSETS, load_config
-from latprog.diffusion import load_denoiser
+from latprog.diffusion import load_denoiser, sample_betas
 from latprog.gaussian_prior import load_gaussian_prior
 from latprog.progression import GaussianBelief, ObservationNoise, extrapolate, resolve_beta
 from latprog.stages import FORECASTS, PREDICTIONS, STAGES
@@ -197,7 +197,8 @@ def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run)
         cond = [(latents[f"{sid}/{i}"].astype(np.float64), age)
                 for i, age in enumerate(case["conditioning_ages"])]
         for source in ("global_prior", "posterior", "regression", "gaussian_net", "diffusion"):
-            beta = resolve_beta(cond, source, seed=sampling_seed + case_idx, **beliefs)
+            seed = sampling_seed + cfg.diffusion.k_samples * case_idx
+            beta = resolve_beta(cond, source, seed=seed, **beliefs)
             expect = decode(model, extrapolate(*cond[-1], beta, case["target_age"]))
             stored = forecasts[f"{source}/{sid}"]
             if source == "diffusion":
@@ -227,6 +228,34 @@ def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(
     assert before and before.keys() == after.keys()
     for key in before:
         np.testing.assert_array_equal(after[key], before[key], err_msg=key)
+
+
+def test_diffusion_chains_of_different_cases_draw_different_noise(tmp_path, monkeypatch):
+    """Each of a predict run's n*k diffusion chains has a seed of its own."""
+    config = {
+        **MINI_CONFIG,
+        "cohort": {**MINI_CONFIG["cohort"], "split_fractions": [0.5, 0.0, 0.5]},
+        "autoencoder": {"epochs": 0},
+        "diffusion": {"epochs": 1, "k_samples": 3, "timesteps": 10},
+        "evaluation": {"predict_sources": ["diffusion"]},
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    calls = []
+
+    def recording(denoiser, latents, ages, seeds, k):
+        calls.append((list(seeds), k))
+        return sample_betas(denoiser, latents, ages, seeds, k)
+
+    monkeypatch.setattr(pipeline, "sample_betas", recording)
+    for stage in ("generate-cohort", "train-ae", "encode", "fit-betas",
+                  "fit-diffusion-prior", "predict"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0, stage
+
+    [(seeds, k)] = calls
+    chain_seeds = [seed + j for seed in seeds for j in range(k)]
+    assert len(seeds) >= 2 and k == 3
+    assert len(set(chain_seeds)) == len(chain_seeds)
 
 
 def test_run_records_hash_exactly_the_files_each_stage_reads(
