@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -78,26 +79,16 @@ class _Reader:
         self.size = os.fstat(fh.fileno()).st_size
         self.path = path
 
-    def _claim(self, n: int) -> None:
+    def take(self, n: int) -> bytearray:
         pos = self.fh.tell()
         if pos + n > self.size:
             raise TruncatedPayloadError(
                 f"{self.path}: expected {n} more bytes at offset {pos}, "
                 f"file has {self.size - pos}"
             )
-
-    def take(self, n: int) -> bytes:
-        self._claim(n)
-        return self.fh.read(n)
-
-    def take_floats(self, dims: tuple[int, ...]) -> np.ndarray:
-        count = 1
-        for d in dims:
-            count *= d
-        self._claim(4 * count)
-        arr = np.empty(count, dtype="<f4")
-        self.fh.readinto(arr)
-        return arr.reshape(dims)
+        buf = bytearray(n)
+        self.fh.readinto(buf)
+        return buf
 
     def done(self) -> None:
         trailing = self.size - self.fh.tell()
@@ -111,12 +102,14 @@ def _read_tensor_body(r: _Reader, dtype_code: int) -> np.ndarray:
             f"{r.path}: dtype code {dtype_code} not supported (only 0 = float32)"
         )
     (ndim,) = r.take(1)
-    return r.take_floats(struct.unpack(f"<{ndim}Q", r.take(8 * ndim)))
+    dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
+    # The array is a view of the bytes read for it: no second copy.
+    return np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
 
 
 def _read_header(r: _Reader) -> int:
     """Check magic and version; return the next byte, a dtype or the container sentinel."""
-    magic = r.take(4)
+    magic = bytes(r.take(4))
     if magic != MAGIC:
         raise BadMagicError(f"{r.path}: bad magic {magic!r}, expected {MAGIC!r}")
     version, kind = r.take(2)
