@@ -321,11 +321,12 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         target_idx = int(np.argmin(np.abs(np.array(subject.ages()) - case["target_age"])))
         forecasts = []
         for source in _forecast_sources(sources, n_cond):
-            if f"{source}/{sid}" not in stored:
+            key = f"{source}/{sid}"
+            if key not in stored:
                 raise MissingDependencyError(
                     producer(FORECASTS), f"no {source} forecast for {sid}"
                 )
-            forecasts.append((source, n_cond, stored[f"{source}/{sid}"]))
+            forecasts.append((source, n_cond, stored[key]))
         rows += evaluation.score_forecasts(spec, subject, target_idx, forecasts)
     write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
     summary: dict = {"holdout": evaluation.summarize_rows(rows)}
