@@ -23,6 +23,7 @@ from .progression import (
     posterior_update,
 )
 from .ssim import ssim3d
+from .tensorfile import replacing
 
 
 @dataclass(frozen=True)
@@ -360,8 +361,8 @@ def summarize_rows(rows: list[MetricsRow]) -> dict:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """RFC 4180 CSV (CRLF line endings) with a header row."""
-    with open(path, "w", newline="") as fh:
+    """RFC 4180 CSV (CRLF line endings) with a header row; path is replaced only when complete."""
+    with replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh, dialect="excel")
         writer.writerow(header)
         writer.writerows(rows)

@@ -1,9 +1,12 @@
 """Cohort persistence: JSON manifest plus one tensor container of scan volumes.
 
-The manifest is written with sorted keys and fixed indentation so that
-load -> dump round-trips byte-stably; the volumes are float32 entries of
-volumes.mrxt keyed ``<subject_id>/<scan index>``, which makes the whole
-cohort bit-reproducible from (spec, seed).
+The manifest is the pipeline's one subject table: each subject's split,
+diagnosis, true rates and scans (age, per-scan diagnosis, seed), and the
+phantom spec.  Stages that need no volumes read it alone through
+:func:`load_subjects`.  It is written with sorted keys and fixed
+indentation so that load -> dump round-trips byte-stably; the volumes are
+float32 entries of volumes.mrxt keyed ``<subject_id>/<scan index>``, which
+makes the whole cohort bit-reproducible from (spec, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
-from .tensorfile import canonical_json, read_tensors, write_tensors
+# canonical_json is re-exported for callers that format manifest dicts.
+from .tensorfile import canonical_json, read_tensors, write_json, write_tensors  # noqa: F401
 
 
 def geometry_to_dict(geom) -> dict:
@@ -91,9 +95,7 @@ def save_cohort(cohort: phantom.Cohort, out_dir, cohort_id: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     volumes: dict[str, np.ndarray] = {}
     subjects = []
-    split_assignment: dict[str, list[str]] = {}
     for subject in cohort.subjects:
-        split_assignment.setdefault(subject.split, []).append(subject.subject_id)
         scans = []
         for idx, scan in enumerate(subject.scans):
             if scan.volume is None:
@@ -119,38 +121,50 @@ def save_cohort(cohort: phantom.Cohort, out_dir, cohort_id: str) -> Path:
         "cohort_id": cohort_id,
         "spec": spec_to_dict(cohort.spec),
         "subjects": subjects,
-        "split_assignment": {k: sorted(v) for k, v in sorted(split_assignment.items())},
     }
     write_tensors(out / "volumes.mrxt", volumes)
     path = out / "manifest.json"
-    path.write_text(canonical_json(manifest))
+    write_json(path, manifest)
     return path
 
 
+def _subjects(manifest: dict) -> list[phantom.SubjectRecord]:
+    return [
+        phantom.SubjectRecord(
+            subject_id=entry["subject_id"],
+            diagnosis=entry["diagnosis"],
+            rate_multipliers={int(k): v for k, v in entry["true_rates"].items()},
+            scans=[
+                phantom.ScanRecord(
+                    subject_id=entry["subject_id"],
+                    age=scan["age"],
+                    diagnosis_at_scan=scan["diagnosis_at_scan"],
+                    seed=scan["seed"],
+                )
+                for scan in entry["scans"]
+            ],
+            split=entry["split"],
+        )
+        for entry in manifest["subjects"]
+    ]
+
+
+def load_subjects(cohort_dir) -> list[phantom.SubjectRecord]:
+    """The manifest's subjects, in manifest order, with no volumes.
+
+    Reads manifest.json alone; the spec is neither built nor validated.
+    """
+    return _subjects(json.loads((Path(cohort_dir) / "manifest.json").read_text()))
+
+
 def load_cohort(cohort_dir) -> phantom.Cohort:
+    """The manifest's subjects with their scan volumes, and the validated spec."""
     root = Path(cohort_dir)
     manifest = json.loads((root / "manifest.json").read_text())
     spec = spec_from_dict(manifest["spec"])
     volumes = read_tensors(root / "volumes.mrxt")
-    subjects = []
-    for entry in manifest["subjects"]:
-        scans = [
-            phantom.ScanRecord(
-                subject_id=entry["subject_id"],
-                age=scan["age"],
-                diagnosis_at_scan=scan["diagnosis_at_scan"],
-                seed=scan["seed"],
-                volume=volumes[f"{entry['subject_id']}/{idx}"],
-            )
-            for idx, scan in enumerate(entry["scans"])
-        ]
-        subjects.append(
-            phantom.SubjectRecord(
-                subject_id=entry["subject_id"],
-                diagnosis=entry["diagnosis"],
-                rate_multipliers={int(k): v for k, v in entry["true_rates"].items()},
-                scans=scans,
-                split=entry["split"],
-            )
-        )
+    subjects = _subjects(manifest)
+    for subject in subjects:
+        for idx, scan in enumerate(subject.scans):
+            scan.volume = volumes[f"{subject.subject_id}/{idx}"]
     return phantom.Cohort(spec=spec, subjects=subjects)

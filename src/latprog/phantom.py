@@ -8,7 +8,9 @@ primitive sizes that realize those targets and scales radii by the cube root
 of the volume ratio.
 
 Region nesting is deliberately a chain (shell > interior > ventricle >
-hippocampus pair) with canonical intensities in the same order.  Every
+hippocampus pair): region i lies inside region i-1, which is its only
+parent, and ``validate_spec`` refuses a spec that breaks the chain.  The
+canonical intensities rise in the same order.  Every
 geometric boundary therefore sits between two *adjacent* intensity levels,
 so partial-volume voxels - in raw renders, reconstructions, and latent
 interpolations alike - always blend between the correct pair of regions and
@@ -41,8 +43,19 @@ _EDGE_WIDTH = 1.0
 _GRID_MARGIN = 1.5
 
 
+class _Shape:
+    """Soft and hard membership from a subclass's ``_signed_distance`` (voxels, < 0 inside)."""
+
+    def coverage(self, coords: np.ndarray) -> np.ndarray:
+        d = self._signed_distance(coords)
+        return np.clip(0.5 - d / _EDGE_WIDTH, 0.0, 1.0)
+
+    def contains(self, coords: np.ndarray) -> np.ndarray:
+        return self._signed_distance(coords) <= 0.0
+
+
 @dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(_Shape):
     center: tuple[float, float, float]
     radii: tuple[float, float, float]
 
@@ -62,20 +75,13 @@ class Ellipsoid:
         r_eff = float(np.cbrt(self.radii[0] * self.radii[1] * self.radii[2]))
         return (rho - 1.0) * r_eff
 
-    def coverage(self, coords: np.ndarray) -> np.ndarray:
-        d = self._signed_distance(coords)
-        return np.clip(0.5 - d / _EDGE_WIDTH, 0.0, 1.0)
-
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        return self._signed_distance(coords) <= 0.0
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         c, r = np.asarray(self.center), np.asarray(self.radii)
         return c - r, c + r
 
 
 @dataclass(frozen=True)
-class SpherePair:
+class SpherePair(_Shape):
     centers: tuple[tuple[float, float, float], tuple[float, float, float]]
     radius: float
 
@@ -91,13 +97,6 @@ class SpherePair:
             c = np.asarray(center).reshape(3, 1, 1, 1)
             dists.append(np.sqrt(np.sum((coords - c) ** 2, axis=0)))
         return np.minimum(*dists) - self.radius
-
-    def coverage(self, coords: np.ndarray) -> np.ndarray:
-        d = self._signed_distance(coords)
-        return np.clip(0.5 - d / _EDGE_WIDTH, 0.0, 1.0)
-
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        return self._signed_distance(coords) <= 0.0
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         cs = np.asarray(self.centers)
@@ -178,33 +177,10 @@ def _grid_coords(grid_size: int) -> np.ndarray:
     return np.indices((grid_size,) * 3, dtype=np.float64)
 
 
-@functools.lru_cache(maxsize=32)
-def _parent_indices(spec: PhantomSpec) -> tuple[int, ...]:
-    """Immediate parent of each region (index into spec.regions, -1 = background).
-
-    Region order is paint order; a region's parent is the most recent earlier
-    region whose primitive contains it, determined on the base geometry.
-    """
-    coords = _grid_coords(spec.grid_size)
-    masks = [r.geometry.contains(coords) for r in spec.regions]
-    parents = []
-    for i in range(len(spec.regions)):
-        parent = -1
-        for j in range(i - 1, -1, -1):
-            if not np.any(masks[i] & ~masks[j]):
-                parent = j
-                break
-        parents.append(parent)
-    return tuple(parents)
-
-
 def _visible_targets(spec: PhantomSpec, rate_multipliers, age: float) -> list[float]:
-    parents = _parent_indices(spec)
+    # A region's base visible volume is its primitive less the next region's.
     base_prim = [r.geometry.volume() for r in spec.regions]
-    base_visible = list(base_prim)
-    for i, p in enumerate(parents):
-        if p >= 0:
-            base_visible[p] -= base_prim[i]
+    base_visible = [v - inner for v, inner in zip(base_prim, base_prim[1:])] + base_prim[-1:]
     targets = []
     for r, base in zip(spec.regions, base_visible):
         mult = rate_multipliers[r.region_id]
@@ -216,19 +192,17 @@ def _scaled_primitives(spec: PhantomSpec, rate_multipliers, age: float) -> list[
     """Primitive geometries realizing the visible-volume targets at ``age``."""
     if not (AGE_MIN <= age <= AGE_MAX):
         raise ValueError(f"age {age} outside supported range [{AGE_MIN}, {AGE_MAX}]")
-    parents = _parent_indices(spec)
     targets = _visible_targets(spec, rate_multipliers, age)
     for r, t in zip(spec.regions, targets):
         if t <= 0:
             raise ValueError(
                 f"region '{r.name}' visible volume {t:.1f} <= 0 at age {age}"
             )
-    # Primitive volume = own visible volume + children's primitive volumes;
-    # children paint later, so accumulate in reverse paint order.
+    # Primitive volume = own visible volume + the next region's primitive
+    # volume; accumulate from the innermost region outwards.
     prim_vol = list(targets)
-    for i in range(len(spec.regions) - 1, -1, -1):
-        if parents[i] >= 0:
-            prim_vol[parents[i]] += prim_vol[i]
+    for i in range(len(spec.regions) - 1, 0, -1):
+        prim_vol[i - 1] += prim_vol[i]
     prims = []
     for r, v in zip(spec.regions, prim_vol):
         factor = (v / r.geometry.volume()) ** (1.0 / 3.0)
@@ -263,24 +237,17 @@ def validate_spec(spec: PhantomSpec) -> None:
             f"intensity gap {min_gap:.4f} < 4 * noise_sigma ({4 * spec.noise_sigma:.4f})"
         )
     # Probe worst-case geometry: every region at the fastest rate, both age
-    # extremes.  Children must stay inside parents and siblings disjoint.
+    # extremes.  Each region must stay inside the one before it.
     coords = _grid_coords(spec.grid_size)
-    parents = _parent_indices(spec)
     mults = {r.region_id: spec.max_multiplier for r in spec.regions}
     for age in (AGE_MIN, AGE_MAX):
         prims = _scaled_primitives(spec, mults, age)
         masks = [g.contains(coords) for g in prims]
-        for i, p in enumerate(parents):
-            if p >= 0 and np.any(masks[i] & ~masks[p]):
+        for i in range(1, len(masks)):
+            if np.any(masks[i] & ~masks[i - 1]):
                 raise ValueError(
                     f"region '{spec.regions[i].name}' escapes its parent at age {age}"
                 )
-            for j in range(i):
-                if parents[j] == p and j != p and np.any(masks[i] & masks[j]):
-                    raise ValueError(
-                        f"regions '{spec.regions[i].name}' and "
-                        f"'{spec.regions[j].name}' overlap at age {age}"
-                    )
         for geom in prims:
             if isinstance(geom, SpherePair):
                 c0, c1 = np.asarray(geom.centers)

@@ -24,7 +24,7 @@ from .diffusion import load_denoiser, sample_betas, save_denoiser, train_diffusi
 from .errors import MissingDependencyError
 from .evaluation import write_csv, write_metrics_csv
 from .gaussian_prior import load_gaussian_prior, save_gaussian_prior, train_gaussian_prior
-from .manifest import load_cohort, save_cohort
+from .manifest import load_cohort, load_subjects, save_cohort
 from .progression import (
     GaussianBelief,
     LatentSequence,
@@ -36,8 +36,8 @@ from .progression import (
     extrapolate,
     resolve_beta,
 )
-from .stages import FORECASTS, GLOBAL_PRIOR_SOURCES, PREDICTIONS, STAGES, producer
-from .tensorfile import canonical_json, read_tensors, write_tensors
+from .stages import FORECASTS, GLOBAL_PRIOR_SOURCES, LATENTS, MANIFEST, PREDICTIONS, STAGES, producer
+from .tensorfile import read_tensors, write_json, write_tensors
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, str],
         "inputs": inputs,
         "outputs": outputs,
     }
-    (runs / f"{stage}.json").write_text(canonical_json(record))
+    write_json(runs / f"{stage}.json", record)
 
 
 # ---------------------------------------------------------------- stages
@@ -155,47 +155,49 @@ def _load_model(out: Path):
     return load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
 
 
-def _load_latents(out: Path):
-    tensors = read_tensors(out / "latents" / "latents.mrxt")
-    meta = json.loads((out / "latents" / "latents.json").read_text())
-    return tensors, meta
+def _latent_sequences(out: Path, subjects=None, split=None) -> list[LatentSequence]:
+    """Encoded latents of each subject's scans, at the manifest's ages, by subject id.
 
-
-def _sequences_from_latents(tensors, meta, split=None) -> list[LatentSequence]:
-    sequences = []
-    for sid in sorted(meta["subjects"]):
-        info = meta["subjects"][sid]
-        if split is not None and info["split"] != split:
-            continue
-        ages = np.array(info["ages"], dtype=np.float64)
-        lat = np.stack(
-            [tensors[f"{sid}/{i}"].astype(np.float64) for i in range(len(ages))]
+    ``subjects`` defaults to the manifest's.  A latents container whose keys
+    are not exactly the subjects' ``<subject_id>/<scan index>`` set was
+    encoded from another cohort: MissingDependencyError names encode.
+    """
+    if subjects is None:
+        subjects = load_subjects(out / "cohort")
+    tensors = read_tensors(out / LATENTS)
+    scans = {f"{s.subject_id}/{i}" for s in subjects for i in range(len(s.scans))}
+    if tensors.keys() != scans:
+        raise MissingDependencyError(
+            producer(LATENTS), f"{LATENTS} was encoded from another cohort: its "
+            f"{len(tensors)} scans are not the {len(scans)} of {MANIFEST}"
         )
-        sequences.append(LatentSequence(subject_id=sid, ages=ages, latents=lat))
-    return sequences
+    return [
+        LatentSequence(
+            subject_id=s.subject_id,
+            ages=s.ages(),
+            latents=np.stack([tensors[f"{s.subject_id}/{i}"].astype(np.float64)
+                              for i in range(len(s.scans))]),
+        )
+        for s in sorted(subjects, key=lambda s: s.subject_id)
+        if split is None or s.split == split
+    ]
 
 
 def stage_encode(cfg: RunConfig, out: Path) -> None:
     model = _load_model(out)
     cohort = load_cohort(out / "cohort")
-    named: dict[str, np.ndarray] = {}
-    subjects_meta = {}
-    for subject in cohort.subjects:
-        for idx, scan in enumerate(subject.scans):
-            named[f"{subject.subject_id}/{idx}"] = encode(model, scan.volume).mean
-        subjects_meta[subject.subject_id] = {
-            "split": subject.split,
-            "diagnosis": subject.diagnosis,
-            "ages": list(subject.ages()),
-        }
-    write_tensors(out / "latents" / "latents.mrxt", named)
-    (out / "latents" / "latents.json").write_text(canonical_json({"subjects": subjects_meta}))
+    named = {
+        f"{subject.subject_id}/{idx}": encode(model, scan.volume).mean
+        for subject in cohort.subjects
+        for idx, scan in enumerate(subject.scans)
+    }
+    write_tensors(out / LATENTS, named)
 
 
 def stage_fit_betas(cfg: RunConfig, out: Path) -> None:
     betas = {
         seq.subject_id: compute_beta(list(seq.latents), seq.ages)
-        for seq in _sequences_from_latents(*_load_latents(out))
+        for seq in _latent_sequences(out)
         if len(seq.ages) >= 2
     }
     if not betas:
@@ -207,8 +209,7 @@ def _load_train_set(out: Path):
     """Train-split sequences of the subjects fit-betas rated, and their stored rates."""
     stored = read_tensors(out / "betas" / "betas.mrxt")
     sequences = [
-        s for s in _sequences_from_latents(*_load_latents(out), split="train")
-        if s.subject_id in stored
+        s for s in _latent_sequences(out, split="train") if s.subject_id in stored
     ]
     return sequences, {s.subject_id: stored[s.subject_id].astype(np.float64) for s in sequences}
 
@@ -268,11 +269,10 @@ def stage_predict(cfg: RunConfig, out: Path) -> None:
     last scan and forecast at the last scan's age.
     """
     model = _load_model(out)
-    tensors, meta = _load_latents(out)
     sources = cfg.evaluation.predict_sources
     beliefs = _load_beliefs(out, sources, cfg)
     sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
-    seqs = [s for s in _sequences_from_latents(tensors, meta, split="test") if len(s.ages) >= 2]
+    seqs = [s for s in _latent_sequences(out, split="test") if len(s.ages) >= 2]
     if "diffusion" in sources:
         # Every case's chains in one batched reverse loop, conditioned on its
         # latest conditioning scan, as resolve_beta conditions one case.  Case
@@ -287,8 +287,7 @@ def stage_predict(cfg: RunConfig, out: Path) -> None:
     for case_idx, seq in enumerate(seqs):
         cond = [(seq.latents[i], float(seq.ages[i])) for i in range(len(seq.ages) - 1)]
         target_age = float(seq.ages[-1])
-        case_sources = _forecast_sources(sources, len(cond))
-        for source in case_sources:
+        for source in _forecast_sources(sources, len(cond)):
             if source == "diffusion":
                 beta = diffusion_betas[case_idx]
             else:
@@ -296,10 +295,9 @@ def stage_predict(cfg: RunConfig, out: Path) -> None:
             z_star = extrapolate(cond[-1][0], cond[-1][1], beta, target_age)
             forecasts[f"{source}/{seq.subject_id}"] = decode(model, z_star).astype(np.float32)
         index[seq.subject_id] = {"target_age": target_age,
-                                 "conditioning_ages": [a for _, a in cond],
-                                 "sources": case_sources}
+                                 "conditioning_ages": [a for _, a in cond]}
     write_tensors(out / FORECASTS, forecasts)
-    (out / PREDICTIONS).write_text(canonical_json(index))
+    write_json(out / PREDICTIONS, index)
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
@@ -307,7 +305,6 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     model = _load_model(out)
     cohort = load_cohort(out / "cohort")
     spec = cohort.spec
-    tensors, meta = _load_latents(out)
     index = json.loads((out / PREDICTIONS).read_text())
     stored = read_tensors(out / FORECASTS)
     sources = cfg.evaluation.predict_sources
@@ -331,7 +328,8 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
     summary: dict = {"holdout": evaluation.summarize_rows(rows)}
     outputs = []
-    test_seqs = _sequences_from_latents(tensors, meta, split="test")
+    test_seqs = _latent_sequences(out, cohort.subjects, split="test")
+    test_latents = {seq.subject_id: seq.latents for seq in test_seqs}
 
     beliefs = _load_beliefs(out, [s for s in sources if s in GLOBAL_PRIOR_SOURCES], cfg)
     if beliefs:
@@ -339,7 +337,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
             ms_rows, ms_summary = evaluation.multiscan_curve(
                 model,
                 cohort.split("test"),
-                {seq.subject_id: seq.latents for seq in test_seqs},
+                test_latents,
                 beliefs["global_prior"],
                 beliefs["obs_noise"],
                 anchor_year=cfg.evaluation.anchor_year,
@@ -355,9 +353,8 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
 
     if index:
         sid = next(iter(index))
-        last = len(meta["subjects"][sid]["ages"]) - 1
         report = evaluation.interpolation_linearity(
-            model, tensors[f"{sid}/{last}"], tensors[f"{sid}/0"], spec, cfg.evaluation.n_alphas
+            model, test_latents[sid][-1], test_latents[sid][0], spec, cfg.evaluation.n_alphas
         )
         write_csv(
             out / "metrics" / "interpolation.csv",
@@ -394,15 +391,15 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         }
         outputs.append("metrics/collinearity.csv")
 
-    (out / "metrics" / "summary.json").write_text(canonical_json(summary))
+    write_json(out / "metrics" / "summary.json", summary)
     return outputs
 
 
 def stage_analyze_beta(cfg: RunConfig, out: Path) -> None:
     beta_tensors = read_tensors(out / "betas" / "betas.mrxt")
-    info = json.loads((out / "latents" / "latents.json").read_text())["subjects"]
+    subjects = {s.subject_id: s for s in load_subjects(out / "cohort")}
     entries = [
-        (beta_tensors[sid], info[sid]["diagnosis"], min(info[sid]["ages"]))
+        (beta_tensors[sid], subjects[sid].diagnosis, min(subjects[sid].ages()))
         for sid in sorted(beta_tensors)
     ]
     table = evaluation.beta_norm_analysis(

@@ -15,9 +15,12 @@ from pathlib import Path
 
 from .errors import MissingDependencyError
 
-COHORT = ("cohort/manifest.json", "cohort/volumes.mrxt")
+MANIFEST = "cohort/manifest.json"
+COHORT = (MANIFEST, "cohort/volumes.mrxt")
 MODEL = ("ae/model.mrxt", "ae/model.json")
-LATENTS = ("latents/latents.mrxt", "latents/latents.json")
+LATENTS = "latents/latents.mrxt"
+# Latent sequences: each subject's scans and ages from the manifest, its latents from encode.
+SEQUENCES = (MANIFEST, LATENTS)
 BETAS = "betas/betas.mrxt"
 PREDICTIONS = "predictions/predictions.json"
 FORECASTS = "predictions/forecasts.mrxt"
@@ -64,24 +67,24 @@ STAGES = {
     for stage in (
         Stage("generate-cohort", outputs=COHORT),
         Stage("train-ae", inputs=COHORT, outputs=MODEL),
-        Stage("encode", inputs=(*MODEL, *COHORT), outputs=LATENTS),
-        Stage("fit-betas", inputs=LATENTS, outputs=(BETAS,)),
-        Stage("fit-global-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["global_prior"]),
-        Stage("fit-gaussian-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["gaussian_net"]),
-        Stage("fit-diffusion-prior", inputs=(*LATENTS, BETAS), outputs=PRIOR_FILES["diffusion"]),
+        Stage("encode", inputs=(*MODEL, *COHORT), outputs=(LATENTS,)),
+        Stage("fit-betas", inputs=SEQUENCES, outputs=(BETAS,)),
+        Stage("fit-global-prior", inputs=(*SEQUENCES, BETAS), outputs=PRIOR_FILES["global_prior"]),
+        Stage("fit-gaussian-prior", inputs=(*SEQUENCES, BETAS), outputs=PRIOR_FILES["gaussian_net"]),
+        Stage("fit-diffusion-prior", inputs=(*SEQUENCES, BETAS), outputs=PRIOR_FILES["diffusion"]),
         Stage(
             "predict",
-            inputs=(*MODEL, *LATENTS),
+            inputs=(*MODEL, *SEQUENCES),
             outputs=(PREDICTIONS, FORECASTS),
             prior_sources=tuple(PRIOR_FILES),
         ),
         Stage(
             "evaluate",
-            inputs=(*MODEL, *COHORT, *LATENTS, PREDICTIONS, FORECASTS),
+            inputs=(*MODEL, *COHORT, LATENTS, PREDICTIONS, FORECASTS),
             outputs=("metrics/rows.csv", "metrics/summary.json"),
             prior_sources=GLOBAL_PRIOR_SOURCES,
         ),
-        Stage("analyze-beta", inputs=(BETAS, "latents/latents.json"), outputs=("analysis/beta_norms.csv",)),
+        Stage("analyze-beta", inputs=(BETAS, MANIFEST), outputs=("analysis/beta_norms.csv",)),
     )
 }
 

@@ -18,7 +18,9 @@ above.
 Both kinds are streamed entry by entry through the open file, so reading or
 writing a container holds its tensors but never a second copy of its bytes.
 A write goes to a temporary file beside the target and replaces it only when
-complete: an interrupted write leaves the previous file as it was.
+complete: an interrupted write leaves the previous file as it was.  JSON
+files (:func:`write_json`) and the CSVs of ``evaluation.write_csv`` are
+written the same way.
 
 A model is stored as a named container plus a JSON metadata file beside it.
 """
@@ -51,15 +53,15 @@ _CONTAINER_SENTINEL = 0xFF
 
 
 @contextmanager
-def _replacing(path: str | Path):
-    """An open binary file that replaces path when the block completes.
+def replacing(path: str | Path, mode: str = "wb", newline: str | None = None):
+    """An open file that replaces path when the block completes.
 
     If the block raises, path is left as it was and the partial file removed.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -122,7 +124,7 @@ def _read_header(r: _Reader) -> int:
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Write a single tensor; values are stored as little-endian float32."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC + struct.pack("<B", VERSION))
         _write_tensor_body(fh, array)
 
@@ -145,7 +147,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def write_tensors(path: str | Path, named: dict[str, np.ndarray]) -> None:
     """Write a named-tensor container.  Entry order follows dict order."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC + struct.pack("<BBI", VERSION, _CONTAINER_SENTINEL, len(named)))
         for name, array in named.items():
             encoded = name.encode("utf-8")
@@ -178,10 +180,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as canonical JSON; path is replaced only when complete."""
+    with replacing(path) as fh:
+        fh.write(canonical_json(obj).encode())
+
+
 def save_with_meta(tensor_path, meta_path, named: dict[str, np.ndarray], meta: dict) -> None:
     """Write a named-tensor container and its JSON metadata."""
     write_tensors(tensor_path, named)
-    Path(meta_path).write_text(canonical_json(meta))
+    write_json(meta_path, meta)
 
 
 def load_with_meta(tensor_path, meta_path, config_type, stage: str):

