@@ -53,16 +53,34 @@ class MetricsRow:
             raise ValueError("dice outside [0, 1]")
 
 
+def _labels(seg) -> np.ndarray:
+    """A label map as a flat integer array; ValueError if a label is not integral."""
+    flat = np.asarray(seg).ravel()
+    if flat.dtype.kind in "biu" and np.can_cast(flat.dtype, np.intp):
+        return flat
+    if not (np.isfinite(flat).all() and np.array_equal(np.floor(flat), flat)):
+        raise ValueError("label maps must hold integral labels")
+    return flat.astype(np.int64)
+
+
 def region_volumes(seg: np.ndarray, spec: phantom.PhantomSpec) -> RegionVolumes:
     """Voxel counts per region id; tbv counts all non-background voxels."""
-    seg = np.asarray(seg)
-    ids = set(spec.region_ids())
-    present = set(int(v) for v in np.unique(seg))
-    unknown = present - ids - {0}
+    flat = _labels(seg)
+    ids = spec.region_ids()
+    top = max(ids)
+    if flat.size and (flat.min() < 0 or flat.max() > top):
+        # A label outside 0..top is unknown: find every unknown label
+        # without a count array as long as the largest one.
+        present = np.unique(flat)
+    else:
+        counts = np.bincount(flat, minlength=top + 1)
+        present = np.flatnonzero(counts)
+    unknown = set(present.tolist()) - set(ids) - {0}
     if unknown:
         raise ValueError(f"unknown segmentation labels {sorted(unknown)}")
-    counts = {rid: int(np.count_nonzero(seg == rid)) for rid in spec.region_ids()}
-    return RegionVolumes(counts=counts, tbv=int(np.count_nonzero(seg)))
+    return RegionVolumes(
+        counts={rid: int(counts[rid]) for rid in ids}, tbv=int(flat.size - counts[0])
+    )
 
 
 def mae_tbv(
@@ -82,26 +100,35 @@ def mae_tbv(
 def generalized_dice(a: np.ndarray, b: np.ndarray) -> float:
     """Region-weighted Dice with reference weighting w_r = 1/|A_r|^2.
 
-    Background is not a region; labels absent from both maps are excluded.
-    A region absent only from the reference gets weight 1 (count clamp).
+    Labels are non-negative integers (ValueError otherwise); background 0 is
+    not a region, and labels absent from both maps are excluded.  A region
+    absent only from the reference gets weight 1 (count clamp).  The counts
+    come from one joint count of (a, b) label pairs, whose table is square in
+    the largest label.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    labels = (set(int(v) for v in np.unique(a)) | set(int(v) for v in np.unique(b))) - {0}
+    a, b = _labels(a), _labels(b)
+    if a.size == 0:
+        return 1.0
+    if min(a.min(), b.min()) < 0:
+        raise ValueError("label maps must hold non-negative labels")
+    n = int(max(a.max(), b.max())) + 1
+    joint = np.bincount(a.astype(np.intp) * n + b, minlength=n * n).reshape(n, n)
+    size_a = joint.sum(axis=1).tolist()
+    size_b = joint.sum(axis=0).tolist()
+    overlap = joint.diagonal().tolist()
+    labels = [lab for lab in range(1, n) if size_a[lab] or size_b[lab]]
     if not labels:
         return 1.0
     num = 0.0
     den = 0.0
-    for lab in sorted(labels):
-        in_a = a == lab
-        in_b = b == lab
-        n_a = int(in_a.sum())
-        n_b = int(in_b.sum())
-        w = 1.0 / max(n_a, 1) ** 2
-        num += w * 2.0 * int(np.logical_and(in_a, in_b).sum())
-        den += w * (n_a + n_b)
+    for lab in labels:
+        w = 1.0 / max(size_a[lab], 1) ** 2
+        num += w * 2.0 * overlap[lab]
+        den += w * (size_a[lab] + size_b[lab])
     return num / den
 
 
@@ -234,16 +261,21 @@ def score_forecasts(
 ) -> list[MetricsRow]:
     """One row per forecast of a subject's scan, scored against that scan.
 
-    ``forecasts`` yields (source, n_conditioning_scans, volume) triples.
+    ``forecasts`` yields (source, n_conditioning_scans, volume) triples.  The
+    target's segmentation, region volumes and SSIM statistics are computed
+    once for all of them.
     """
+    forecasts = list(forecasts)
+    if not forecasts:
+        return []
     ages = subject.ages()
-    actual_vol = subject.scans[target_idx].volume
     seg_actual = phantom.segment_oracle(spec, subject.rate_multipliers, ages[target_idx])
     vols_actual = region_volumes(seg_actual, spec)
     first_seg = phantom.segment_oracle(spec, subject.rate_multipliers, ages[0])
     tbv_first = region_volumes(first_seg, spec).tbv
+    ssims = ssim3d(subject.scans[target_idx].volume, np.stack([v for _, _, v in forecasts]))
     rows = []
-    for source, n, pred_vol in forecasts:
+    for (source, n, pred_vol), ssim in zip(forecasts, ssims):
         seg_pred = phantom.segment_by_intensity(pred_vol, spec)
         mae_ids = mae_tbv(region_volumes(seg_pred, spec), vols_actual, tbv_first)
         rows.append(
@@ -253,7 +285,7 @@ def score_forecasts(
                 n_conditioning_scans=n,
                 target_age=float(ages[target_idx]),
                 mae={spec.region_by_id(rid).name: val for rid, val in mae_ids.items()},
-                ssim=float(ssim3d(actual_vol, pred_vol)),
+                ssim=float(ssim),
                 dice=float(generalized_dice(seg_actual, seg_pred)),
             )
         )

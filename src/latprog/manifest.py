@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import phantom
+from .errors import MissingDependencyError
+from .stages import MANIFEST, VOLUMES, producer
 # canonical_json is re-exported for callers that format manifest dicts.
 from .tensorfile import canonical_json, read_tensors, write_json, write_tensors  # noqa: F401
 
@@ -157,13 +159,25 @@ def load_subjects(cohort_dir) -> list[phantom.SubjectRecord]:
     return _subjects(json.loads((Path(cohort_dir) / "manifest.json").read_text()))
 
 
-def load_cohort(cohort_dir) -> phantom.Cohort:
-    """The manifest's subjects with their scan volumes, and the validated spec."""
+def load_cohort(cohort_dir, split: str | None = None) -> phantom.Cohort:
+    """The manifest's subjects with their scan volumes, and the validated spec.
+
+    With ``split``, only that split's subjects, in manifest order, and only
+    their volumes are read from volumes.mrxt.  A scan the container lacks
+    raises MissingDependencyError naming generate-cohort.
+    """
     root = Path(cohort_dir)
     manifest = json.loads((root / "manifest.json").read_text())
     spec = spec_from_dict(manifest["spec"])
-    volumes = read_tensors(root / "volumes.mrxt")
-    subjects = _subjects(manifest)
+    subjects = [s for s in _subjects(manifest) if split is None or s.split == split]
+    keys = [f"{s.subject_id}/{idx}" for s in subjects for idx in range(len(s.scans))]
+    volumes = read_tensors(root / "volumes.mrxt", keys)
+    missing = [key for key in keys if key not in volumes]
+    if missing:
+        raise MissingDependencyError(
+            producer(VOLUMES), f"{VOLUMES} lacks {len(missing)} scan(s) of "
+            f"{MANIFEST}, the first {missing[0]!r}"
+        )
     for subject in subjects:
         for idx, scan in enumerate(subject.scans):
             scan.volume = volumes[f"{subject.subject_id}/{idx}"]

@@ -299,10 +299,16 @@ def segment_by_intensity(volume: np.ndarray, spec: PhantomSpec) -> np.ndarray:
     order = np.argsort(intensities)
     intensities, ids = intensities[order], ids[order]
     vol = np.asarray(volume, dtype=np.float64)
-    nearest = np.argmin(np.abs(vol[..., None] - intensities), axis=-1)
-    labels = ids[nearest]
+    # Running first minimum over ascending intensities: a tie keeps the
+    # lower intensity, as argmin over all distances would.
+    labels = np.full(vol.shape, ids[0], dtype=np.int32)
+    best = np.abs(vol - intensities[0])
+    for intensity, rid in zip(intensities[1:], ids[1:]):
+        dist = np.abs(vol - intensity)
+        labels[dist < best] = rid
+        np.minimum(best, dist, out=best)
     labels[vol < intensities[0] / 2.0] = 0
-    return labels.astype(np.int32)
+    return labels
 
 
 def label_diagnosis(per_scan) -> str:

@@ -146,8 +146,8 @@ def stage_generate_cohort(cfg: RunConfig, out: Path) -> None:
 
 
 def stage_train_ae(cfg: RunConfig, out: Path) -> None:
-    cohort = load_cohort(out / "cohort")
-    model = train_autoencoder(cohort.split("train").volumes(), cfg.autoencoder)
+    cohort = load_cohort(out / "cohort", split="train")
+    model = train_autoencoder(cohort.volumes(), cfg.autoencoder)
     save_model(model, out / "ae" / "model.mrxt", out / "ae" / "model.json")
 
 
@@ -155,15 +155,14 @@ def _load_model(out: Path):
     return load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
 
 
-def _latent_sequences(out: Path, subjects=None, split=None) -> list[LatentSequence]:
+def _latent_sequences(out: Path, split=None) -> list[LatentSequence]:
     """Encoded latents of each subject's scans, at the manifest's ages, by subject id.
 
-    ``subjects`` defaults to the manifest's.  A latents container whose keys
-    are not exactly the subjects' ``<subject_id>/<scan index>`` set was
-    encoded from another cohort: MissingDependencyError names encode.
+    A latents container whose keys are not exactly the manifest's
+    ``<subject_id>/<scan index>`` set was encoded from another cohort:
+    MissingDependencyError names encode.
     """
-    if subjects is None:
-        subjects = load_subjects(out / "cohort")
+    subjects = load_subjects(out / "cohort")
     tensors = read_tensors(out / LATENTS)
     scans = {f"{s.subject_id}/{i}" for s in subjects for i in range(len(s.scans))}
     if tensors.keys() != scans:
@@ -303,7 +302,7 @@ def stage_predict(cfg: RunConfig, out: Path) -> None:
 def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     """Score predict's forecast volumes and write the latent diagnostics."""
     model = _load_model(out)
-    cohort = load_cohort(out / "cohort")
+    cohort = load_cohort(out / "cohort", split="test")
     spec = cohort.spec
     index = json.loads((out / PREDICTIONS).read_text())
     stored = read_tensors(out / FORECASTS)
@@ -313,6 +312,10 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
 
     rows = []
     for sid, case in index.items():
+        if sid not in subjects:
+            raise MissingDependencyError(
+                producer(PREDICTIONS), f"{sid} is not a test subject of {MANIFEST}"
+            )
         subject = subjects[sid]
         n_cond = len(case["conditioning_ages"])
         target_idx = int(np.argmin(np.abs(np.array(subject.ages()) - case["target_age"])))
@@ -328,7 +331,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
     summary: dict = {"holdout": evaluation.summarize_rows(rows)}
     outputs = []
-    test_seqs = _latent_sequences(out, cohort.subjects, split="test")
+    test_seqs = _latent_sequences(out, split="test")
     test_latents = {seq.subject_id: seq.latents for seq in test_seqs}
 
     beliefs = _load_beliefs(out, [s for s in sources if s in GLOBAL_PRIOR_SOURCES], cfg)
@@ -336,7 +339,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         try:
             ms_rows, ms_summary = evaluation.multiscan_curve(
                 model,
-                cohort.split("test"),
+                cohort,
                 test_latents,
                 beliefs["global_prior"],
                 beliefs["obs_noise"],

@@ -20,8 +20,8 @@ def check_window(window: int, shape: tuple[int, ...]) -> None:
         raise ValueError(f"window {window} larger than volume {shape}")
 
 
-def _check_inputs(x: np.ndarray, y: np.ndarray, window: int) -> None:
-    if x.shape != y.shape:
+def _check_inputs(x: np.ndarray, y: np.ndarray, window: int, stack: bool = False) -> None:
+    if y.shape != (y.shape[:1] + x.shape if stack else x.shape):
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 3:
         raise ValueError(f"expected 3D volumes, got {x.ndim}D")
@@ -30,34 +30,54 @@ def _check_inputs(x: np.ndarray, y: np.ndarray, window: int) -> None:
         raise ValueError("non-finite values in input volumes")
 
 
-def _window_stats(x, y, window):
-    # Box means over the full grid; only the interior slice (where the
-    # window is fully inside) is used, so the filter's boundary mode is
-    # irrelevant there.
+def _interior(window: int) -> tuple:
+    """Index of the window centres whose window lies inside the volume."""
     lo = window // 2
-    sl = tuple(slice(lo, s - lo) for s in x.shape)
-    mu_x = uniform_filter(x, window)[sl]
-    mu_y = uniform_filter(y, window)[sl]
-    ex2 = uniform_filter(x * x, window)[sl]
-    ey2 = uniform_filter(y * y, window)[sl]
-    exy = uniform_filter(x * y, window)[sl]
+    return (slice(lo, -lo),) * 3
+
+
+def _window_means(v: np.ndarray, window: int) -> np.ndarray:
+    # Box means over the full grid; only the interior is kept, so the
+    # filter's boundary mode is irrelevant there.
+    return uniform_filter(v, window)[_interior(window)]
+
+
+def _terms(mu_x, ex2, mu_y, ey2, exy, dynamic_range: float):
+    """Per-window luminance terms a1/b1 and contrast-structure terms a2/b2
+    from the box means of x, x*x, y, y*y and x*y."""
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
     var_x = ex2 - mu_x * mu_x
     var_y = ey2 - mu_y * mu_y
     cov = exy - mu_x * mu_y
-    return sl, mu_x, mu_y, var_x, var_y, cov
+    a1 = 2 * mu_x * mu_y + c1
+    a2 = 2 * cov + c2
+    b1 = mu_x**2 + mu_y**2 + c1
+    b2 = var_x + var_y + c2
+    return a1, a2, b1, b2
 
 
-def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7, dynamic_range: float = 1.0) -> float:
-    """Mean SSIM between two volumes over all fully-interior windows."""
-    _check_inputs(x, y, window)
+def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7, dynamic_range: float = 1.0):
+    """Mean SSIM between two volumes over all fully-interior windows.
+
+    ``y`` may also be a stack (m, *x.shape) of volumes, each scored against
+    ``x``: the statistics of ``x`` are then computed once, and the result is
+    an array of m values, each bit-identical to the call on that volume alone.
+    """
+    stack = y.ndim == x.ndim + 1
+    _check_inputs(x, y, window, stack)
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    _, mu_x, mu_y, var_x, var_y, cov = _window_stats(x, y, window)
-    num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-    den = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    mu_x = _window_means(x, window)
+    ex2 = _window_means(x * x, window)
+    values = []
+    for v in y if stack else [y]:
+        # One volume at a time: the temporaries stay in cache, and the
+        # filters run exactly as in a call on that volume alone.
+        v = np.asarray(v, dtype=np.float64)
+        a1, a2, b1, b2 = _terms(mu_x, ex2, _window_means(v, window), _window_means(v * v, window),
+                                _window_means(x * v, window), dynamic_range)
+        values.append(float(np.mean((a1 * a2) / (b1 * b2))))
+    return np.array(values) if stack else values[0]
 
 
 def ssim3d_with_grad(
@@ -74,13 +94,11 @@ def ssim3d_with_grad(
     _check_inputs(x, y, window)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    sl, mu_x, mu_y, var_x, var_y, cov = _window_stats(x, y, window)
-    a1 = 2 * mu_x * mu_y + c1
-    a2 = 2 * cov + c2
-    b1 = mu_x**2 + mu_y**2 + c1
-    b2 = var_x + var_y + c2
+    mu_x = _window_means(x, window)
+    mu_y = _window_means(y, window)
+    a1, a2, b1, b2 = _terms(mu_x, _window_means(x * x, window), mu_y,
+                            _window_means(y * y, window), _window_means(x * y, window),
+                            dynamic_range)
     s = (a1 * a2) / (b1 * b2)
     value = float(np.mean(s))
 
@@ -92,7 +110,7 @@ def ssim3d_with_grad(
 
     def box_sum(center_field):
         full = np.zeros_like(x)
-        full[sl] = center_field
+        full[_interior(window)] = center_field
         # uniform_filter normalizes by n; with the trailing 1/n in the
         # per-window expansion this cancels exactly.
         return uniform_filter(full, window, mode="constant", cval=0.0)

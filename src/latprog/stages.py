@@ -16,7 +16,8 @@ from pathlib import Path
 from .errors import MissingDependencyError
 
 MANIFEST = "cohort/manifest.json"
-COHORT = (MANIFEST, "cohort/volumes.mrxt")
+VOLUMES = "cohort/volumes.mrxt"
+COHORT = (MANIFEST, VOLUMES)
 MODEL = ("ae/model.mrxt", "ae/model.json")
 LATENTS = "latents/latents.mrxt"
 # Latent sequences: each subject's scans and ages from the manifest, its latents from encode.

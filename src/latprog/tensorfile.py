@@ -16,7 +16,8 @@ and per entry: u16 name length, UTF-8 name, then dtype/ndim/dims/payload as
 above.
 
 Both kinds are streamed entry by entry through the open file, so reading or
-writing a container holds its tensors but never a second copy of its bytes.
+writing a container holds its tensors but never a second copy of its bytes;
+a container read can take some of its entries by name and seek past the rest.
 A write goes to a temporary file beside the target and replaces it only when
 complete: an interrupted write leaves the previous file as it was.  JSON
 files (:func:`write_json`) and the CSVs of ``evaluation.write_csv`` are
@@ -81,16 +82,23 @@ class _Reader:
         self.size = os.fstat(fh.fileno()).st_size
         self.path = path
 
-    def take(self, n: int) -> bytearray:
+    def _check(self, n: int) -> None:
         pos = self.fh.tell()
         if pos + n > self.size:
             raise TruncatedPayloadError(
                 f"{self.path}: expected {n} more bytes at offset {pos}, "
                 f"file has {self.size - pos}"
             )
+
+    def take(self, n: int) -> bytearray:
+        self._check(n)
         buf = bytearray(n)
         self.fh.readinto(buf)
         return buf
+
+    def skip(self, n: int) -> None:
+        self._check(n)
+        self.fh.seek(n, os.SEEK_CUR)
 
     def done(self) -> None:
         trailing = self.size - self.fh.tell()
@@ -98,15 +106,21 @@ class _Reader:
             raise TruncatedPayloadError(f"{self.path}: {trailing} trailing bytes")
 
 
-def _read_tensor_body(r: _Reader, dtype_code: int) -> np.ndarray:
+def _read_tensor_body(r: _Reader, dtype_code: int, keep: bool = True) -> np.ndarray | None:
+    """The entry's tensor; unless ``keep``, its payload is bounds-checked and
+    seeked past, and None is returned."""
     if dtype_code != DTYPE_FLOAT32:
         raise UnsupportedDtypeError(
             f"{r.path}: dtype code {dtype_code} not supported (only 0 = float32)"
         )
     (ndim,) = r.take(1)
     dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
+    nbytes = 4 * math.prod(dims)
+    if not keep:
+        r.skip(nbytes)
+        return None
     # The array is a view of the bytes read for it: no second copy.
-    return np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+    return np.frombuffer(r.take(nbytes), dtype="<f4").reshape(dims)
 
 
 def _read_header(r: _Reader) -> int:
@@ -155,8 +169,17 @@ def write_tensors(path: str | Path, named: dict[str, np.ndarray]) -> None:
             _write_tensor_body(fh, array)
 
 
-def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a named-tensor container written by :func:`write_tensors`."""
+def read_tensors(path: str | Path, keys=None) -> dict[str, np.ndarray]:
+    """Read a named-tensor container written by :func:`write_tensors`.
+
+    With ``keys``, only the entries so named are read, in file order; the
+    payloads of the others are seeked past.  Every entry's header is still
+    read and checked, so a duplicate name, a payload cut short anywhere or
+    trailing bytes raise as in a full read.  A key the container lacks is
+    absent from the result: the caller decides what that means.
+    """
+    wanted = None if keys is None else set(keys)
+    seen: set[str] = set()
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         r = _Reader(fh, str(path))
@@ -168,10 +191,13 @@ def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", r.take(2))
             name = r.take(name_len).decode("utf-8")
-            if name in out:
+            if name in seen:
                 raise TensorFileError(f"{path}: duplicate tensor name {name!r}")
+            seen.add(name)
             (dtype_code,) = r.take(1)
-            out[name] = _read_tensor_body(r, dtype_code)
+            tensor = _read_tensor_body(r, dtype_code, keep=wanted is None or name in wanted)
+            if tensor is not None:
+                out[name] = tensor
         r.done()
     return out
 

@@ -159,3 +159,50 @@ def pca_rows_svd(x, k):
     s2 = np.zeros(k)
     s2[:m] = s[:m] ** 2
     return rows, s2
+
+
+def region_counts_unique(seg, region_ids):
+    """Voxel count per region id and of all non-background voxels, by
+    ``np.unique`` over the labels and one mask per region; raises on a label
+    that is neither background nor a region id."""
+    seg = np.asarray(seg)
+    unknown = set(int(v) for v in np.unique(seg)) - set(region_ids) - {0}
+    if unknown:
+        raise ValueError(f"unknown segmentation labels {sorted(unknown)}")
+    counts = {rid: int(np.count_nonzero(seg == rid)) for rid in region_ids}
+    return counts, int(np.count_nonzero(seg))
+
+
+def dice_masks(a, b):
+    """Generalized Dice (w_r = 1/max(|A_r|, 1)^2) from one pair of boolean
+    masks per label present in either map, labels in ascending order."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    labels = (set(int(v) for v in np.unique(a)) | set(int(v) for v in np.unique(b))) - {0}
+    if not labels:
+        return 1.0
+    num = 0.0
+    den = 0.0
+    for lab in sorted(labels):
+        in_a = a == lab
+        in_b = b == lab
+        n_a = int(in_a.sum())
+        n_b = int(in_b.sum())
+        w = 1.0 / max(n_a, 1) ** 2
+        num += w * 2.0 * int(np.logical_and(in_a, in_b).sum())
+        den += w * (n_a + n_b)
+    return num / den
+
+
+def segment_argmin(volume, intensities, ids):
+    """Nearest-intensity labels by ``argmin`` over the distances to every
+    intensity, sorted ascending (a tie takes the lower one); voxels below
+    half the lowest intensity are background 0."""
+    intensities = np.asarray(intensities, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.int32)
+    order = np.argsort(intensities)
+    intensities, ids = intensities[order], ids[order]
+    vol = np.asarray(volume, dtype=np.float64)
+    labels = ids[np.argmin(np.abs(vol[..., None] - intensities), axis=-1)]
+    labels[vol < intensities[0] / 2.0] = 0
+    return labels.astype(np.int32)

@@ -1,8 +1,13 @@
 """Segmentation metrics, trajectory geometry, rate-norm tables, and the scan-count protocol."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from latprog import phantom
 from latprog.autoencoder import AEConfig, encode, init_model
 from latprog.evaluation import (
@@ -56,6 +61,30 @@ def test_region_volumes_match_oracle_segmentation(spec32):
     for rid, count in vols.counts.items():
         assert count == int(np.count_nonzero(seg == rid))
     assert vols.tbv == sum(vols.counts.values())  # regions are disjoint
+
+
+def test_region_volumes_rejects_negative_label(spec32):
+    seg = np.zeros((3, 3, 3), dtype=np.int32)
+    seg[1, 1, 1] = -1
+    seg[2, 2, 2] = 9
+    with pytest.raises(ValueError, match=r"unknown segmentation labels \[-1, 9\]"):
+        region_volumes(seg, spec32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), top=st.integers(0, 6), low=st.integers(-2, 0))
+def test_region_volumes_equal_unique_oracle(spec32, seed, top, low):
+    """Counts equal np.unique's and masks'; a map with labels outside the
+    phantom's ids raises the oracle's message."""
+    seg = np.random.default_rng(seed).integers(low, top + 1, (5, 6, 7)).astype(np.int32)
+    try:
+        want = oracles.region_counts_unique(seg, spec32.region_ids())
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            region_volumes(seg, spec32)
+        return
+    vols = region_volumes(seg, spec32)
+    assert (vols.counts, vols.tbv) == want
 
 
 # ---------------------------------------------------------------------- mae
@@ -128,6 +157,31 @@ def test_dice_label_missing_from_reference():
 def test_dice_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         generalized_dice(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.array([1, -1, 0]), np.array([1, 1, 0])),
+    (np.array([1, 1, 0]), np.array([0, -2, 0])),
+    (np.array([1.0, 0.5, 0.0]), np.array([1.0, 1.0, 0.0])),
+    (np.array([1.0, 1.0, 0.0]), np.array([np.nan, 1.0, 0.0])),
+    (np.array([np.inf, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])),
+], ids=["negative-reference", "negative-prediction", "non-integral", "nan", "inf"])
+def test_dice_refuses_labels_that_are_not_non_negative_integers(a, b):
+    with pytest.raises(ValueError, match="label"):
+        generalized_dice(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(1, 7),
+       agree=st.floats(0.0, 1.0), as_float=st.booleans())
+def test_dice_equals_mask_oracle(seed, n_labels, agree, as_float):
+    """Bit-equal to the per-label mask loop, on maps that share a chosen share of voxels."""
+    r = np.random.default_rng(seed)
+    a = r.integers(0, n_labels, (4, 5, 6))
+    b = np.where(r.random(a.shape) < agree, a, r.integers(0, n_labels, a.shape))
+    if as_float:
+        a, b = a.astype(np.float64), b.astype(np.float32)
+    assert generalized_dice(a, b) == oracles.dice_masks(a, b)
 
 
 # ---------------------------------------------------------------------- pca

@@ -16,7 +16,7 @@ from latprog.config import (
     config_from_dict,
     load_config,
 )
-from latprog.errors import ConfigError
+from latprog.errors import ConfigError, MissingDependencyError
 from latprog.manifest import (
     canonical_json,
     geometry_from_dict,
@@ -27,6 +27,7 @@ from latprog.manifest import (
     spec_to_dict,
 )
 from latprog.progression import BELIEF_SOURCES
+from latprog.tensorfile import read_tensors, write_tensors
 
 # ------------------------------------------------------------------ manifest
 
@@ -83,6 +84,38 @@ def test_cohort_roundtrip_bit_exact(small_cohort, tmp_path):
             assert s_back.diagnosis_at_scan == s_orig.diagnosis_at_scan
             assert s_back.volume.dtype == np.float32
             np.testing.assert_array_equal(s_back.volume, s_orig.volume)
+
+
+def test_load_cohort_of_one_split_reads_its_volumes_only(spec32, tmp_path):
+    cohort = phantom.generate_cohort(spec32, 10, scans_per_subject=(2, 3), seed=4)
+    save_cohort(cohort, tmp_path, "split-test")
+    splits = {s.split for s in cohort.subjects}
+    assert len(splits) > 1
+    for split in splits:
+        # without the other splits' volumes in the container at all
+        kept = {f"{s.subject_id}/{i}" for s in cohort.split(split).subjects
+                for i in range(len(s.scans))}
+        volumes = read_tensors(tmp_path / "volumes.mrxt")
+        part_dir = tmp_path / split
+        part_dir.mkdir()
+        (part_dir / "manifest.json").write_bytes((tmp_path / "manifest.json").read_bytes())
+        write_tensors(part_dir / "volumes.mrxt", {k: v for k, v in volumes.items() if k in kept})
+        part = load_cohort(part_dir, split=split)
+        want = cohort.split(split)
+        assert [s.subject_id for s in part.subjects] == [s.subject_id for s in want.subjects]
+        for got, ref in zip(part.volumes(), want.volumes()):
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_cohort_scan_missing_from_volumes_names_generate_cohort(small_cohort, tmp_path):
+    save_cohort(small_cohort, tmp_path, "missing-scan")
+    volumes = read_tensors(tmp_path / "volumes.mrxt")
+    lost = f"{small_cohort.subjects[-1].subject_id}/1"
+    write_tensors(tmp_path / "volumes.mrxt", {k: v for k, v in volumes.items() if k != lost})
+    with pytest.raises(MissingDependencyError) as err:
+        load_cohort(tmp_path)
+    assert err.value.required_stage == "generate-cohort"
+    assert lost in str(err.value) and "\n" not in str(err.value)
 
 
 def test_manifest_bytes_deterministic(small_cohort, tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latprog import phantom
 from latprog.phantom import (
@@ -47,6 +49,48 @@ def test_intensity_and_oracle_segmentations_agree(spec32):
 def test_all_zero_volume_is_background(spec32):
     seg = segment_by_intensity(np.zeros((32, 32, 32)), spec32)
     assert (seg == 0).all()
+
+
+def _segment_oracle_args(spec):
+    return [r.intensity for r in spec.regions], spec.region_ids()
+
+
+def _edge_values(spec):
+    """Each intensity, each midpoint between neighbouring intensities, half
+    the lowest (the background threshold) and non-finite values."""
+    levels = sorted(r.intensity for r in spec.regions)
+    mids = [(lo + hi) / 2.0 for lo, hi in zip(levels, levels[1:])]
+    return [*levels, *mids, levels[0] / 2.0, 0.0, np.inf, -np.inf, np.nan]
+
+
+def test_segmentation_ties_and_threshold_match_argmin(spec32):
+    values = np.array(_edge_values(spec32))
+    for dtype in (np.float64, np.float32):
+        vol = np.resize(values, (4, 4, 4)).astype(dtype)
+        got = segment_by_intensity(vol, spec32)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, oracles.segment_argmin(vol, *_segment_oracle_args(spec32)))
+    # a midpoint goes to the lower intensity; half the lowest is not background
+    assert segment_by_intensity(np.full((1, 1, 1), 0.375), spec32).item() == 1
+    assert segment_by_intensity(np.full((1, 1, 1), 0.125), spec32).item() == 1
+    assert segment_by_intensity(np.full((1, 1, 1), np.nextafter(0.125, 0)), spec32).item() == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edge_share=st.floats(0.0, 1.0),
+       float32=st.booleans())
+def test_segmentation_equals_argmin_oracle(spec32, seed, edge_share, float32):
+    r = np.random.default_rng(seed)
+    vol = r.uniform(-0.2, 1.3, (5, 6, 7))
+    edges = np.array(_edge_values(spec32))
+    at_edge = r.random(vol.shape) < edge_share
+    vol[at_edge] = r.choice(edges, size=int(at_edge.sum()))
+    if float32:
+        vol = vol.astype(np.float32)
+    np.testing.assert_array_equal(
+        segment_by_intensity(vol, spec32),
+        oracles.segment_argmin(vol, *_segment_oracle_args(spec32)),
+    )
 
 
 def test_render_is_deterministic(spec32):

@@ -18,7 +18,7 @@ from latprog.diffusion import load_denoiser, sample_betas
 from latprog.gaussian_prior import load_gaussian_prior
 from latprog.progression import GaussianBelief, ObservationNoise, extrapolate, resolve_beta
 from latprog.stages import FORECASTS, PREDICTIONS, STAGES
-from latprog.tensorfile import read_tensors
+from latprog.tensorfile import read_tensors, write_tensors
 
 MINI_CONFIG = {
     "seed": 5,
@@ -178,6 +178,54 @@ def test_latents_of_another_cohort_are_refused(tmp_path, capsys):
         assert rc == 1, stage
         assert len(lines) == 1, stage
         assert lines[0].startswith("error: missing dependency: run stage 'encode' first"), stage
+
+
+def test_stages_read_only_their_split_of_the_cohort_volumes(tmp_path, capsys):
+    """train-ae reads the train split's volumes and evaluate the test split's:
+    scans of other splits missing from volumes.mrxt do not stop them, and one
+    of their own missing is a one-line error naming generate-cohort."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**MINI_CONFIG, "autoencoder": {"epochs": 0},
+                                    "evaluation": {"predict_sources": ["regression"]}}))
+    out = tmp_path / "out"
+
+    def run(stage):
+        return main([stage, "--config", str(cfg_path), "--out", str(out)])
+
+    for stage in ("generate-cohort", "train-ae", "encode", "fit-betas", "predict"):
+        assert run(stage) == 0, stage
+    manifest = json.loads((out / "cohort/manifest.json").read_text())
+    volumes_path = out / "cohort/volumes.mrxt"
+    volumes = read_tensors(volumes_path)
+
+    def keep_split(split):
+        write_tensors(volumes_path, {
+            f"{s['subject_id']}/{i}": volumes[f"{s['subject_id']}/{i}"]
+            for s in manifest["subjects"] if s["split"] == split for i in range(len(s["scans"]))
+        })
+
+    for split, stage in (("train", "train-ae"), ("test", "evaluate")):
+        keep_split(split)
+        assert run(stage) == 0, stage
+        keep_split({"train": "test", "test": "train"}[split])
+        capsys.readouterr()
+        assert run(stage) == 1, stage
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, stage
+        assert lines[0].startswith("error: missing dependency: run stage 'generate-cohort' first")
+
+    # a forecast case of a subject outside the test split names predict
+    write_tensors(volumes_path, volumes)
+    index_path = out / PREDICTIONS
+    index = json.loads(index_path.read_text())
+    train_sid = next(s["subject_id"] for s in manifest["subjects"] if s["split"] == "train")
+    index_path.write_text(json.dumps({**index, train_sid: next(iter(index.values()))}))
+    capsys.readouterr()
+    assert run("evaluate") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: missing dependency: run stage 'predict' first")
+    assert train_sid in lines[0]
 
 
 def test_evaluate_before_predict_names_predict(chain_run, capsys):

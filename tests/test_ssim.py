@@ -57,6 +57,29 @@ def test_grad_value_consistent_with_plain_call(rng):
     assert val == pytest.approx(ssim3d(a, b), abs=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), window=st.sampled_from([3, 5, 7]),
+       float32=st.booleans())
+def test_stack_equals_per_volume_calls_bitwise(seed, m, window, float32):
+    r = np.random.default_rng(seed)
+    x = r.random((7, 8, 9))
+    ys = np.clip(x + r.normal(0.0, r.uniform(0.0, 0.5), (m, *x.shape)), 0.0, 1.0)
+    if float32:
+        x, ys = x.astype(np.float32), ys.astype(np.float32)
+    got = ssim3d(x, ys, window=window)
+    assert got.shape == (m,)
+    want = np.array([ssim3d(x, y, window=window) for y in ys])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_stack_shape_checked(rng):
+    x = rng.random((8, 8, 8))
+    with pytest.raises(ValueError, match="shape"):
+        ssim3d(x, rng.random((2, 8, 8, 7)))
+    with pytest.raises(ValueError, match="shape"):
+        ssim3d_with_grad(x, rng.random((2, 8, 8, 8)))
+
+
 def test_window_larger_than_volume_rejected(rng):
     a = rng.random((4, 4, 4))
     with pytest.raises(ValueError):

@@ -105,11 +105,20 @@ def _container(path):
     return read_tensors
 
 
+def _container_first_only(path):
+    """The container above, read by key: "second" is skipped, not read."""
+    _container(path)
+    return lambda p: read_tensors(p, ["first"])
+
+
 @pytest.mark.parametrize("write, keep", [
     (_single, lambda raw: raw[:-5]),
     (_container, lambda raw: raw[:-5]),
     (_container, lambda raw: raw[:raw.index(b"second") + 3]),
-], ids=["single", "container-last-entry", "container-entry-name"])
+    (_container_first_only, lambda raw: raw[:-5]),
+    (_container_first_only, lambda raw: raw[:raw.index(b"second") + 3]),
+], ids=["single", "container-last-entry", "container-entry-name",
+        "keyed-skipped-entry", "keyed-skipped-entry-name"])
 def test_truncated_payload(tmp_path, write, keep):
     path = tmp_path / "t.mrxt"
     read = write(path)
@@ -118,7 +127,8 @@ def test_truncated_payload(tmp_path, write, keep):
         read(path)
 
 
-@pytest.mark.parametrize("write", [_single, _container], ids=["single", "container"])
+@pytest.mark.parametrize("write", [_single, _container, _container_first_only],
+                         ids=["single", "container", "keyed"])
 def test_trailing_bytes_rejected(tmp_path, write):
     path = tmp_path / "t.mrxt"
     read = write(path)
@@ -158,6 +168,25 @@ class TestContainer:
         write_tensors(multi, {"a": np.zeros((2,), dtype=np.float32)})
         with pytest.raises(TensorFileError):
             read_tensor(multi)
+
+    def test_keyed_read_takes_only_the_named_entries(self, tmp_path, rng):
+        tensors = {name: rng.random((3, 2)).astype(np.float32) for name in ("a", "b", "c")}
+        path = tmp_path / "c.mrxt"
+        write_tensors(path, tensors)
+        back = read_tensors(path, ["c", "a", "absent"])
+        assert list(back) == ["a", "c"]  # file order; an absent key is left out
+        for name in back:
+            assert np.array_equal(back[name].view(np.uint32), tensors[name].view(np.uint32))
+        assert read_tensors(path, []) == {}
+
+    @pytest.mark.parametrize("keys", [None, ["aa"], ["zz"]], ids=["full", "keyed", "keyed-none"])
+    def test_duplicate_names_refused(self, tmp_path, keys):
+        path = tmp_path / "c.mrxt"
+        write_tensors(path, {"aa": np.zeros((2,), dtype=np.float32),
+                             "bb": np.ones((2,), dtype=np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"bb", b"aa"))
+        with pytest.raises(TensorFileError, match="duplicate tensor name 'aa'"):
+            read_tensors(path, keys)
 
     def test_empty_container(self, tmp_path):
         path = tmp_path / "e.mrxt"
