@@ -286,11 +286,6 @@ def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
     return model
 
 
-def reconstruct(model: AEModel, volume: np.ndarray) -> np.ndarray:
-    """Decode the encoded mean (the inference path)."""
-    return decode(model, encode(model, volume).mean)
-
-
 def save_model(model: AEModel, tensor_path, meta_path) -> None:
     """Write the model; a ``dec_w`` tied to ``enc_w_mean`` (PCA init) is stored once."""
     params = dict(model.params)

@@ -50,7 +50,6 @@ class EvalParams:
     anchor_year: float = 4.0
     lag_years: tuple[float, ...] = (1.0, 2.0, 3.0)
     min_span_years: float = 6.0
-    include_regression: bool = True
     n_alphas: int = 11
     bin_width: float = 5.0
     bin_start: float = 60.0

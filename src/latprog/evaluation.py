@@ -1,4 +1,8 @@
-"""Cohort-level analyses: volume errors, latent diagnostics, rate norms.
+"""Cohort-level analyses: forecast protocols, volume errors, latent
+diagnostics, rate norms.
+
+A protocol maps subjects' scan ages to forecast cases; predict forecasts
+them and evaluate scores the stored volumes here.
 
 Region volumes of predictions are measured by nearest-intensity
 segmentation of the decoded volume; ground truth for rendered scans comes
@@ -15,13 +19,6 @@ import numpy as np
 
 from . import phantom
 from .autoencoder import AEModel, decode, principal_components
-from .progression import (
-    GaussianBelief,
-    ObservationNoise,
-    compute_beta,
-    extrapolate,
-    posterior_update,
-)
 from .ssim import ssim3d
 from .tensorfile import replacing
 
@@ -261,13 +258,10 @@ def score_forecasts(
 ) -> list[MetricsRow]:
     """One row per forecast of a subject's scan, scored against that scan.
 
-    ``forecasts`` yields (source, n_conditioning_scans, volume) triples.  The
-    target's segmentation, region volumes and SSIM statistics are computed
-    once for all of them.
+    ``forecasts`` is a non-empty list of (source, n_conditioning_scans,
+    volume) triples.  The target's segmentation, region volumes and SSIM
+    statistics are computed once for all of them.
     """
-    forecasts = list(forecasts)
-    if not forecasts:
-        return []
     ages = subject.ages()
     seg_actual = phantom.segment_oracle(spec, subject.rate_multipliers, ages[target_idx])
     vols_actual = region_volumes(seg_actual, spec)
@@ -292,81 +286,90 @@ def score_forecasts(
     return rows
 
 
-def _nearest_scan(subject: phantom.SubjectRecord, target_age: float,
-                  candidates: list[int]) -> int:
-    ages = subject.ages()
+LAST_SCAN = "last-scan"
+MULTISCAN = "multiscan"
+
+
+@dataclass(frozen=True)
+class Case:
+    """One forecast: a rate from the conditioning scans under one belief
+    source, extrapolated from the anchor scan to the target scan's age.
+
+    Scans are indices into the subject's scans, conditioning ones in scan
+    order; ``n`` is the number of conditioning scans its row reports.
+    """
+
+    protocol: str
+    subject_id: str
+    target: int
+    source: str
+    n: int
+    conditioning: tuple[int, ...]
+    anchor: int
+
+    @property
+    def key(self) -> str:
+        """``<protocol>/<subject>/<target scan>/<source>/<n>``, its name in predict's files."""
+        return f"{self.protocol}/{self.subject_id}/{self.target}/{self.source}/{self.n}"
+
+
+def last_scan(ages: dict[str, np.ndarray], sources) -> list[Case]:
+    """Each subject with two or more scans, conditioned on all but its last
+    scan and forecast at the last from the one before, by every source in
+    order; regression needs two conditioning scans.  ``ages`` maps each
+    subject id to its scan ages."""
+    return [
+        Case(LAST_SCAN, sid, len(a) - 1, source, len(a) - 1, tuple(range(len(a) - 1)), len(a) - 2)
+        for sid, a in ages.items()
+        for source in sources
+        if len(a) >= 2 and (source != "regression" or len(a) >= 3)
+    ]
+
+
+def _nearest_scan(ages: np.ndarray, target_age: float, candidates) -> int:
     return min(candidates, key=lambda i: abs(ages[i] - target_age))
 
 
 def multiscan_curve(
-    model: AEModel,
-    cohort: phantom.Cohort,
-    latents: dict[str, np.ndarray],
-    global_prior: GaussianBelief,
-    obs_noise: ObservationNoise,
+    ages: dict[str, np.ndarray],
     *,
     anchor_year: float = 4.0,
     lag_years: tuple[float, ...] = (1.0, 2.0, 3.0),
     min_span_years: float = 6.0,
-    include_regression: bool = True,
-) -> tuple[list[MetricsRow], dict]:
-    """Accuracy as intermediate scans are added to the belief.
+) -> list[Case]:
+    """Forecasts as intermediate scans are added to the belief.
 
     Protocol per eligible subject (scan span >= min_span_years): the scan
     nearest first + anchor_year anchors every extrapolation; the belief at
     n = 0 is the global prior, and at n >= 1 the posterior conditioned on
     the scans nearest first + 1, 2, ... years, with the likelihood anchored
-    at the first scan.  Targets are all scans after the anchor.  The
-    optional regression source fits all scans up to the anchor directly.
-    ``latents`` maps each subject id to the encoded means of its scans,
-    stacked in scan order.
+    at the first scan (the global prior's one conditioning scan).  Regression
+    fits the first scan, the lag scans and the anchor.  Targets are all scans
+    after the anchor.  ``ages`` maps each subject id to its scan ages;
+    ValueError if no subject is eligible.
     """
-    spec = cohort.spec
-    rows: list[MetricsRow] = []
-    n_eligible = 0
-    for subject in cohort.subjects:
-        ages = subject.ages()
-        n_scans = len(ages)
-        if n_scans < 2 or ages[-1] - ages[0] < min_span_years:
+    cases: list[Case] = []
+    for sid, a in ages.items():
+        n_scans = len(a)
+        if n_scans < 2 or a[-1] - a[0] < min_span_years:
             continue
-        first_age = ages[0]
-        anchor_idx = _nearest_scan(subject, first_age + anchor_year, list(range(1, n_scans)))
-        between = [i for i in range(1, anchor_idx)]
-        targets = [i for i in range(anchor_idx + 1, n_scans)]
-        if len(between) < len(lag_years) or not targets:
-            continue
-        n_eligible += 1
-
-        lag_idx: list[int] = []
+        anchor = _nearest_scan(a, a[0] + anchor_year, range(1, n_scans))
+        if anchor - 1 < len(lag_years) or anchor == n_scans - 1:
+            continue  # too few scans between first and anchor, or no target
+        lags: list[int] = []
         for lag in lag_years:
-            pool = [i for i in between if i not in lag_idx]
-            lag_idx.append(_nearest_scan(subject, first_age + lag, pool))
-
-        latent = latents[subject.subject_id]
-        z_anchor = latent[anchor_idx]
-        a_anchor = ages[anchor_idx]
-
-        betas: list[tuple[str, int, np.ndarray]] = [
-            ("global_prior", 0, global_prior.mean.copy())
+            lags.append(_nearest_scan(a, a[0] + lag, [i for i in range(1, anchor) if i not in lags]))
+        beliefs = [("global_prior", 0, (0,))]
+        beliefs += [("posterior", n, (0, *sorted(lags[:n]))) for n in range(1, len(lags) + 1)]
+        beliefs.append(("regression", len(lags) + 2, (0, *sorted(lags), anchor)))
+        cases += [
+            Case(MULTISCAN, sid, target, source, n, conditioning, anchor)
+            for target in range(anchor + 1, n_scans)
+            for source, n, conditioning in beliefs
         ]
-        for n in range(1, len(lag_years) + 1):
-            obs = [(latent[i], ages[i]) for i in lag_idx[:n]]
-            belief = posterior_update(global_prior, (latent[0], first_age), obs, obs_noise)
-            betas.append(("posterior", n, belief.mean))
-        if include_regression:
-            cond = [0, *lag_idx, anchor_idx]
-            beta = compute_beta([latent[i] for i in cond], [ages[i] for i in cond])
-            betas.append(("regression", len(cond), beta))
-
-        for target in targets:
-            target_age = ages[target]
-            rows += score_forecasts(spec, subject, target, (
-                (source, n, decode(model, extrapolate(z_anchor, a_anchor, beta, target_age)))
-                for source, n, beta in betas
-            ))
-    if n_eligible == 0:
+    if not cases:
         raise ValueError("no eligible subjects (need scans spanning the protocol years)")
-    return rows, summarize_rows(rows)
+    return cases
 
 
 def summarize_rows(rows: list[MetricsRow]) -> dict:

@@ -8,6 +8,7 @@ deterministic functions of (config, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -20,7 +21,7 @@ import numpy as np
 from . import evaluation, phantom
 from .autoencoder import decode, encode, load_model, save_model, train_autoencoder
 from .config import SEED_OFFSETS, RunConfig
-from .diffusion import load_denoiser, sample_betas, save_denoiser, train_diffusion_prior
+from .diffusion import load_denoiser, save_denoiser, train_diffusion_prior
 from .errors import MissingDependencyError
 from .evaluation import write_csv, write_metrics_csv
 from .gaussian_prior import load_gaussian_prior, save_gaussian_prior, train_gaussian_prior
@@ -235,15 +236,14 @@ def stage_fit_diffusion_prior(cfg: RunConfig, out: Path) -> None:
     )
 
 
-def _load_beliefs(out: Path, sources, cfg: RunConfig) -> dict:
-    """Belief-source keyword arguments for resolve_beta, per configured sources."""
-    kwargs: dict = {}
+def _load_beliefs(out: Path, cfg: RunConfig) -> dict:
+    """resolve_beta's belief-source keyword arguments for the configured sources."""
+    sources = cfg.evaluation.predict_sources
+    kwargs: dict = {"k_samples": cfg.diffusion.k_samples}
     if set(GLOBAL_PRIOR_SOURCES) & set(sources):
         kwargs["global_prior"] = GaussianBelief(**read_tensors(out / "priors" / "global.mrxt"))
-        noise = read_tensors(out / "priors" / "obs_noise.mrxt")
-        kwargs["obs_noise"] = ObservationNoise(
-            variance=noise["variance"].astype(np.float64)
-        )
+        noise = read_tensors(out / "priors" / "obs_noise.mrxt")["variance"]
+        kwargs["obs_noise"] = ObservationNoise(variance=noise.astype(np.float64))
     if "gaussian_net" in sources:
         kwargs["gaussian_net"] = load_gaussian_prior(
             out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
@@ -252,112 +252,106 @@ def _load_beliefs(out: Path, sources, cfg: RunConfig) -> dict:
         kwargs["denoiser"] = load_denoiser(
             out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
         )
-        kwargs["k_samples"] = cfg.diffusion.k_samples
     return kwargs
 
 
-def _forecast_sources(sources, n_conditioning: int) -> list[str]:
-    """The configured sources, in order, that forecast a case; regression needs two scans."""
-    return [s for s in sources if s != "regression" or n_conditioning >= 2]
+def _cases(cfg: RunConfig, sequences) -> list[evaluation.Case]:
+    """The subjects' last-scan cases for the configured sources, then, when a
+    population-prior source is configured, their multi-scan cases."""
+    ev = cfg.evaluation
+    ages = {seq.subject_id: seq.ages for seq in sequences}
+    cases = evaluation.last_scan(ages, ev.predict_sources)
+    if set(GLOBAL_PRIOR_SOURCES) & set(ev.predict_sources):
+        try:
+            cases += evaluation.multiscan_curve(
+                ages, anchor_year=ev.anchor_year, lag_years=ev.lag_years,
+                min_span_years=ev.min_span_years,
+            )
+        except ValueError:
+            pass  # no subject spans the protocol
+    return cases
 
 
 def stage_predict(cfg: RunConfig, out: Path) -> None:
-    """Decode one forecast volume per (test subject, source), keyed ``<source>/<sid>``.
+    """Forecast every case of the test subjects.
 
-    Each test subject with two or more scans is conditioned on all but its
-    last scan and forecast at the last scan's age.
+    Each case goes to the index and its decoded volume to the forecasts
+    container, both under the case's key.
     """
     model = _load_model(out)
-    sources = cfg.evaluation.predict_sources
-    beliefs = _load_beliefs(out, sources, cfg)
+    beliefs = _load_beliefs(out, cfg)
+    seqs = {s.subject_id: s for s in _latent_sequences(out, split="test")}
+    cases = _cases(cfg, seqs.values())
+    # The i-th diffusion case's k chains are seeded sampling_seed + k*i
+    # onwards: no two chains share noise.
     sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
-    seqs = [s for s in _latent_sequences(out, split="test") if len(s.ages) >= 2]
-    if "diffusion" in sources:
-        # Every case's chains in one batched reverse loop, conditioned on its
-        # latest conditioning scan, as resolve_beta conditions one case.  Case
-        # i's k chains are seeded sampling_seed + k*i onwards: no two share noise.
-        k = beliefs["k_samples"]
-        diffusion_betas = sample_betas(
-            beliefs["denoiser"], [s.latents[-2] for s in seqs], [s.ages[-2] for s in seqs],
-            [sampling_seed + k * case_idx for case_idx in range(len(seqs))], k,
-        )
+    requests, n_diffusion = [], 0
+    for case in cases:
+        seq = seqs[case.subject_id]
+        requests.append((case.source, [(seq.latents[i], seq.ages[i]) for i in case.conditioning],
+                         sampling_seed + cfg.diffusion.k_samples * n_diffusion))
+        n_diffusion += case.source == "diffusion"
     forecasts = {}
-    index = {}
-    for case_idx, seq in enumerate(seqs):
-        cond = [(seq.latents[i], float(seq.ages[i])) for i in range(len(seq.ages) - 1)]
-        target_age = float(seq.ages[-1])
-        for source in _forecast_sources(sources, len(cond)):
-            if source == "diffusion":
-                beta = diffusion_betas[case_idx]
-            else:
-                beta = resolve_beta(cond, source, **beliefs)
-            z_star = extrapolate(cond[-1][0], cond[-1][1], beta, target_age)
-            forecasts[f"{source}/{seq.subject_id}"] = decode(model, z_star).astype(np.float32)
-        index[seq.subject_id] = {"target_age": target_age,
-                                 "conditioning_ages": [a for _, a in cond]}
+    for case, beta in zip(cases, resolve_beta(requests, **beliefs)):
+        seq = seqs[case.subject_id]
+        z_star = extrapolate(seq.latents[case.anchor], seq.ages[case.anchor], beta,
+                             seq.ages[case.target])
+        forecasts[case.key] = decode(model, z_star).astype(np.float32)
     write_tensors(out / FORECASTS, forecasts)
-    write_json(out / PREDICTIONS, index)
+    write_json(out / PREDICTIONS, {case.key: dataclasses.asdict(case) for case in cases})
 
 
 def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
-    """Score predict's forecast volumes and write the latent diagnostics."""
+    """Score predict's forecast volumes and write the latent diagnostics.
+
+    The configured protocols name the cases to score; each is read from
+    predict's index and container under its key.  Every index entry must
+    name a scan of a test subject as its target.
+    """
     model = _load_model(out)
     cohort = load_cohort(out / "cohort", split="test")
     spec = cohort.spec
-    index = json.loads((out / PREDICTIONS).read_text())
-    stored = read_tensors(out / FORECASTS)
-    sources = cfg.evaluation.predict_sources
     subjects = {s.subject_id: s for s in cohort.subjects}
     region_names = [r.name for r in spec.regions]
-
-    rows = []
-    for sid, case in index.items():
-        if sid not in subjects:
-            raise MissingDependencyError(
-                producer(PREDICTIONS), f"{sid} is not a test subject of {MANIFEST}"
-            )
-        subject = subjects[sid]
-        n_cond = len(case["conditioning_ages"])
-        target_idx = int(np.argmin(np.abs(np.array(subject.ages()) - case["target_age"])))
-        forecasts = []
-        for source in _forecast_sources(sources, n_cond):
-            key = f"{source}/{sid}"
-            if key not in stored:
-                raise MissingDependencyError(
-                    producer(FORECASTS), f"no {source} forecast for {sid}"
-                )
-            forecasts.append((source, n_cond, stored[key]))
-        rows += evaluation.score_forecasts(spec, subject, target_idx, forecasts)
-    write_metrics_csv(rows, out / "metrics" / "rows.csv", region_names)
-    summary: dict = {"holdout": evaluation.summarize_rows(rows)}
-    outputs = []
     test_seqs = _latent_sequences(out, split="test")
-    test_latents = {seq.subject_id: seq.latents for seq in test_seqs}
-
-    beliefs = _load_beliefs(out, [s for s in sources if s in GLOBAL_PRIOR_SOURCES], cfg)
-    if beliefs:
-        try:
-            ms_rows, ms_summary = evaluation.multiscan_curve(
-                model,
-                cohort,
-                test_latents,
-                beliefs["global_prior"],
-                beliefs["obs_noise"],
-                anchor_year=cfg.evaluation.anchor_year,
-                lag_years=cfg.evaluation.lag_years,
-                min_span_years=cfg.evaluation.min_span_years,
-                include_regression=cfg.evaluation.include_regression,
+    index = json.loads((out / PREDICTIONS).read_text())
+    for key, entry in index.items():
+        subject = subjects.get(entry["subject_id"])
+        if subject is None or not 0 <= entry["target"] < len(subject.scans):
+            raise MissingDependencyError(producer(PREDICTIONS), (
+                f"{key} targets scan {entry['target']} of {entry['subject_id']}, "
+                f"not a test scan of {MANIFEST}"
+            ))
+    cases = _cases(cfg, test_seqs)
+    stored = read_tensors(out / FORECASTS, keys=[case.key for case in cases])
+    groups: dict[tuple, list] = {}
+    for case in cases:
+        if case.key not in index or case.key not in stored:
+            raise MissingDependencyError(
+                producer(FORECASTS), f"no {case.source} forecast for {case.subject_id}"
             )
-            write_metrics_csv(ms_rows, out / "metrics" / "multiscan.csv", region_names)
-            summary["multiscan"] = ms_summary
-            outputs.append("metrics/multiscan.csv")
-        except ValueError:
-            summary["multiscan"] = "skipped: no eligible subjects"
+        groups.setdefault((case.protocol, case.subject_id, case.target), []).append(
+            (case.source, case.n, stored[case.key])
+        )
+    rows: dict[str, list] = {evaluation.LAST_SCAN: [], evaluation.MULTISCAN: []}
+    for (protocol, sid, target), forecasts in groups.items():
+        rows[protocol] += evaluation.score_forecasts(spec, subjects[sid], target, forecasts)
+    write_metrics_csv(rows[evaluation.LAST_SCAN], out / "metrics" / "rows.csv", region_names)
+    summary: dict = {"holdout": evaluation.summarize_rows(rows[evaluation.LAST_SCAN])}
+    outputs = []
+    if rows[evaluation.MULTISCAN]:
+        write_metrics_csv(rows[evaluation.MULTISCAN], out / "metrics" / "multiscan.csv", region_names)
+        summary["multiscan"] = evaluation.summarize_rows(rows[evaluation.MULTISCAN])
+        outputs.append("metrics/multiscan.csv")
+    elif set(GLOBAL_PRIOR_SOURCES) & set(cfg.evaluation.predict_sources):
+        summary["multiscan"] = "skipped: no eligible subjects"
 
-    if index:
-        sid = next(iter(index))
+    # between the last and first latents of the first test subject with two scans
+    interpolated = next((seq for seq in test_seqs if len(seq.ages) >= 2), None)
+    if interpolated is not None:
         report = evaluation.interpolation_linearity(
-            model, test_latents[sid][-1], test_latents[sid][0], spec, cfg.evaluation.n_alphas
+            model, interpolated.latents[-1], interpolated.latents[0], spec,
+            cfg.evaluation.n_alphas,
         )
         write_csv(
             out / "metrics" / "interpolation.csv",
@@ -369,7 +363,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
             ),
         )
         summary["interpolation"] = {
-            "subject_id": sid,
+            "subject_id": interpolated.subject_id,
             "r2": report.r2,
             "max_chord_dev": report.max_chord_dev,
         }

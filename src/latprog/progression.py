@@ -248,51 +248,57 @@ BELIEF_SOURCES = ("global_prior", "gaussian_net", "diffusion", "regression", "po
 
 
 def resolve_beta(
-    scans: list[tuple[np.ndarray, float]],
-    source: str,
+    cases: list[tuple[str, list[tuple[np.ndarray, float]], int]],
     *,
     global_prior: GaussianBelief | None = None,
     obs_noise: ObservationNoise | None = None,
     gaussian_net=None,
     denoiser=None,
-    seed: int = 0,
     k_samples: int = 5,
-) -> np.ndarray:
-    """Pick the progression rate for a subject's encoded scans.
+) -> list[np.ndarray]:
+    """The progression rate of each (source, scans, seed) case.
 
-    ``scans`` are (latent, age) pairs.  Learned priors condition on the most
-    recent scan; the posterior anchors its likelihood at the first scan and
-    treats every later scan as an observation.
+    ``scans`` are a subject's (latent, age) pairs, taken in age order.
+    Learned priors condition on the most recent scan; the posterior anchors
+    its likelihood at the first scan and treats every later scan as an
+    observation.  Every diffusion case is sampled in one batched reverse
+    loop, its k chains seeded ``seed`` onwards.
     """
-    if source not in BELIEF_SOURCES:
-        raise ValueError(f"unknown belief source {source!r}; one of {BELIEF_SOURCES}")
-    if not scans:
-        raise ValueError("at least one scan is required")
-    ordered = sorted(scans, key=lambda s: s[1])
-    latest_z, latest_a = ordered[-1]
+    betas: list = [None] * len(cases)
+    diffusion = []
+    for i, (source, scans, seed) in enumerate(cases):
+        if source not in BELIEF_SOURCES:
+            raise ValueError(f"unknown belief source {source!r}; one of {BELIEF_SOURCES}")
+        if not scans:
+            raise ValueError("at least one scan is required")
+        ordered = sorted(scans, key=lambda s: s[1])
+        latest_z, latest_a = ordered[-1]
+        if source == "global_prior":
+            if global_prior is None:
+                raise ValueError("global_prior source requires a global prior")
+            betas[i] = global_prior.mean.copy()
+        elif source == "regression":
+            if len(ordered) < 2:
+                raise ValueError("regression source requires at least two scans")
+            betas[i] = compute_beta([z for z, _ in ordered], [a for _, a in ordered])
+        elif source == "posterior":
+            if global_prior is None or obs_noise is None:
+                raise ValueError("posterior source requires a global prior and obs noise")
+            betas[i] = posterior_update(global_prior, ordered[0], ordered[1:], obs_noise).mean
+        elif source == "gaussian_net":
+            if gaussian_net is None:
+                raise ValueError("gaussian_net source requires a trained prior network")
+            from .gaussian_prior import predict_gaussian_prior
 
-    if source == "global_prior":
-        if global_prior is None:
-            raise ValueError("global_prior source requires a global prior")
-        return global_prior.mean.copy()
-    if source == "regression":
-        if len(ordered) < 2:
-            raise ValueError("regression source requires at least two scans")
-        return compute_beta([z for z, _ in ordered], [a for _, a in ordered])
-    if source == "posterior":
-        if global_prior is None or obs_noise is None:
-            raise ValueError("posterior source requires a global prior and obs noise")
-        anchor = ordered[0]
-        return posterior_update(global_prior, anchor, ordered[1:], obs_noise).mean
-    if source == "gaussian_net":
-        if gaussian_net is None:
-            raise ValueError("gaussian_net source requires a trained prior network")
-        from .gaussian_prior import predict_gaussian_prior
+            betas[i] = predict_gaussian_prior(gaussian_net, latest_z, latest_a).mean
+        else:  # diffusion
+            if denoiser is None:
+                raise ValueError("diffusion source requires a trained denoiser")
+            diffusion.append((i, latest_z, latest_a, seed))
+    if diffusion:
+        from .diffusion import sample_betas
 
-        return predict_gaussian_prior(gaussian_net, latest_z, latest_a).mean
-    # diffusion
-    if denoiser is None:
-        raise ValueError("diffusion source requires a trained denoiser")
-    from .diffusion import sample_betas
-
-    return sample_betas(denoiser, np.asarray(latest_z)[None], [latest_a], [seed], k_samples)[0]
+        idx, latents, ages, seeds = zip(*diffusion)
+        for i, beta in zip(idx, sample_betas(denoiser, latents, ages, seeds, k_samples)):
+            betas[i] = beta
+    return betas

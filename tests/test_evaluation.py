@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from latprog import phantom
-from latprog.autoencoder import AEConfig, encode, init_model
+from latprog.autoencoder import AEConfig, decode, init_model
 from latprog.evaluation import (
     BetaNormTable,
     MetricsRow,
@@ -17,15 +17,16 @@ from latprog.evaluation import (
     beta_norm_analysis,
     generalized_dice,
     interpolation_linearity,
+    last_scan,
     latent_collinearity,
     mae_tbv,
     multiscan_curve,
     pca_project,
     region_volumes,
+    score_forecasts,
     summarize_rows,
     write_metrics_csv,
 )
-from latprog.progression import GaussianBelief, ObservationNoise
 
 
 # -------------------------------------------------------------- region counts
@@ -265,8 +266,6 @@ def test_interpolation_constant_series_convention(tiny_model, spec32):
 
 
 def test_interpolation_endpoints_match_direct_decode(tiny_model, spec32):
-    from latprog.autoencoder import decode
-
     rng = np.random.default_rng(8)
     z1 = rng.normal(0.0, 1.0, tiny_model.n_latent)
     z2 = rng.normal(0.0, 1.0, tiny_model.n_latent)
@@ -380,22 +379,22 @@ def flat_model(spec32):
     return init_model(AEConfig(init="zeros"), (spec32.grid_size,) * 3)
 
 
-def _latent_means(model, cohort):
-    return {
-        s.subject_id: np.stack([encode(model, scan.volume).mean for scan in s.scans])
-        for s in cohort.subjects
-    }
+def _ages(cohort):
+    return {s.subject_id: s.ages() for s in cohort.subjects}
 
 
 def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
-    n_latent = flat_model.n_latent
-    prior = GaussianBelief(
-        mean=np.zeros(n_latent), variance=np.ones(n_latent)
-    )
-    noise = ObservationNoise(variance=np.full(n_latent, 0.25))
-    rows, summary = multiscan_curve(
-        flat_model, protocol_cohort, _latent_means(flat_model, protocol_cohort), prior, noise
-    )
+    cases = multiscan_curve(_ages(protocol_cohort))
+    # the all-zero model decodes every latent to one volume
+    volume = decode(flat_model, np.zeros(flat_model.n_latent))
+    rows = []
+    for subject in protocol_cohort.subjects:
+        for target in (5, 6):
+            rows += score_forecasts(protocol_cohort.spec, subject, target, [
+                (c.source, c.n, volume)
+                for c in cases if (c.subject_id, c.target) == (subject.subject_id, target)
+            ])
+    summary = summarize_rows(rows)
 
     assert len(rows) == 3 * 2 * 5  # subjects x targets x sources
     assert {r.source for r in rows} == {"global_prior", "posterior", "regression"}
@@ -414,24 +413,36 @@ def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
         assert summary[key]["rows"] == 6
 
 
-def test_multiscan_curve_without_regression(protocol_cohort, flat_model):
-    n_latent = flat_model.n_latent
-    prior = GaussianBelief(mean=np.zeros(n_latent), variance=np.ones(n_latent))
-    noise = ObservationNoise(variance=np.full(n_latent, 0.25))
-    rows, summary = multiscan_curve(
-        flat_model, protocol_cohort, _latent_means(flat_model, protocol_cohort), prior, noise,
-        include_regression=False,
-    )
-    assert {r.source for r in rows} == {"global_prior", "posterior"}
-    assert "regression/n=5" not in summary
+def test_multiscan_cases_name_the_protocol_scans(protocol_cohort):
+    """Lags 1-3 are scans 1-3, the anchor scan 4; the posterior anchors its
+    likelihood at scan 0 and regression fits scans 0-4."""
+    cases = multiscan_curve(_ages(protocol_cohort))
+    sid = protocol_cohort.subjects[0].subject_id
+    assert [(c.target, c.source, c.n, c.conditioning, c.anchor)
+            for c in cases if c.subject_id == sid and c.target == 5] == [
+        (5, "global_prior", 0, (0,), 4),
+        (5, "posterior", 1, (0, 1), 4),
+        (5, "posterior", 2, (0, 1, 2), 4),
+        (5, "posterior", 3, (0, 1, 2, 3), 4),
+        (5, "regression", 5, (0, 1, 2, 3, 4), 4),
+    ]
+    assert len({c.key for c in cases}) == len(cases)
 
 
-def test_multiscan_curve_requires_eligible_subjects(spec32, flat_model):
+def test_last_scan_cases():
+    ages = {"a": np.array([70.0, 71.0, 72.5]), "b": np.array([60.0, 61.0]), "c": np.array([80.0])}
+    cases = last_scan(ages, ("regression", "posterior"))
+    assert [(c.subject_id, c.source, c.n, c.conditioning, c.anchor, c.target) for c in cases] == [
+        ("a", "regression", 2, (0, 1), 1, 2),
+        ("a", "posterior", 2, (0, 1), 1, 2),
+        ("b", "posterior", 1, (0,), 0, 1),  # regression needs two conditioning scans
+    ]
+    assert cases[0].key == "last-scan/a/2/regression/2"
+
+
+def test_multiscan_curve_requires_eligible_subjects(spec32):
     short = phantom.generate_cohort(
         spec32, 3, scans_per_subject=(2, 3), age_spacing=(0.8, 1.0), seed=2
     )
-    n_latent = flat_model.n_latent
-    prior = GaussianBelief(mean=np.zeros(n_latent), variance=np.ones(n_latent))
-    noise = ObservationNoise(variance=np.full(n_latent, 0.25))
     with pytest.raises(ValueError, match="no eligible subjects"):
-        multiscan_curve(flat_model, short, _latent_means(flat_model, short), prior, noise)
+        multiscan_curve(_ages(short))

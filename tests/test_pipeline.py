@@ -1,5 +1,6 @@
 """CLI staging: artifacts, run records, locking, and error reporting."""
 
+import csv
 import hashlib
 import json
 import os
@@ -10,13 +11,22 @@ import sys
 import numpy as np
 import pytest
 
-from latprog import pipeline
+from latprog import diffusion, pipeline
 from latprog.autoencoder import decode, load_model
 from latprog.cli import main
 from latprog.config import SEED_OFFSETS, load_config
 from latprog.diffusion import load_denoiser, sample_betas
 from latprog.gaussian_prior import load_gaussian_prior
-from latprog.progression import GaussianBelief, ObservationNoise, extrapolate, resolve_beta
+from latprog.manifest import load_subjects
+from latprog.progression import (
+    BELIEF_SOURCES,
+    GaussianBelief,
+    ObservationNoise,
+    compute_beta,
+    extrapolate,
+    posterior_update,
+    resolve_beta,
+)
 from latprog.stages import FORECASTS, PREDICTIONS, STAGES
 from latprog.tensorfile import read_tensors, write_tensors
 
@@ -37,6 +47,17 @@ ALL_SOURCES_CONFIG = {
     "evaluation": {
         "predict_sources": ["global_prior", "gaussian_net", "diffusion", "regression", "posterior"]
     },
+}
+
+
+# Every subject spans the multi-scan protocol: seven scans 1.0-1.1 years
+# apart put the anchor (nearest first + 4 years) on scan 4, leave scans 1-3
+# as the 1-, 2- and 3-year lags and scans 5 and 6 as targets.
+MULTISCAN_CONFIG = {
+    "seed": 3,
+    "cohort": {"n_subjects": 10, "scans_per_subject": [7, 7], "age_spacing": [1.0, 1.1],
+               "baseline_age_range": [62, 70]},
+    "autoencoder": {"epochs": 0},
 }
 
 
@@ -90,6 +111,74 @@ def all_sources_run(tmp_path_factory):
     for stage in stages[: stages.index("predict") + 1]:
         assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
     return out, cfg_path
+
+
+@pytest.fixture(scope="module")
+def multiscan_run(tmp_path_factory):
+    """Every stage through evaluate under MULTISCAN_CONFIG."""
+    root = tmp_path_factory.mktemp("multiscan")
+    cfg_path = root / "run.json"
+    cfg_path.write_text(json.dumps(MULTISCAN_CONFIG))
+    out = root / "out"
+    for stage in (*CHAIN, "predict", "evaluate"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
+    return out, cfg_path
+
+
+def test_evaluate_writes_the_multiscan_curve(multiscan_run):
+    out, _ = multiscan_run
+    manifest = json.loads((out / "cohort/manifest.json").read_text())
+    n_test = sum(s["split"] == "test" for s in manifest["subjects"])
+    with open(out / "metrics/multiscan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert n_test >= 1
+    # two targets each, forecast by the global prior, posteriors of 1-3 lags and regression
+    assert len(rows) == n_test * 2 * 5
+    assert {int(r["n_conditioning_scans"]) for r in rows} == {0, 1, 2, 3, 5}
+    summary = json.loads((out / "metrics/summary.json").read_text())
+    assert sum(group["rows"] for group in summary["multiscan"].values()) == len(rows)
+
+
+def test_multiscan_forecasts_extrapolate_the_anchor_latent(multiscan_run):
+    """Each stored multi-scan forecast decodes the anchor scan's latent moved
+    to the target age along the global prior's mean, the posterior of its
+    lag scans given the first, or the regression of its scans."""
+    out, _ = multiscan_run
+    model = load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+    latents = read_tensors(out / "latents" / "latents.mrxt")
+    prior = GaussianBelief(**read_tensors(out / "priors" / "global.mrxt"))
+    noise = ObservationNoise(
+        read_tensors(out / "priors" / "obs_noise.mrxt")["variance"].astype(np.float64)
+    )
+    subjects = {s.subject_id: s for s in load_subjects(out / "cohort")}
+    index = json.loads((out / PREDICTIONS).read_text())
+    forecasts = read_tensors(out / FORECASTS)
+    cases = {key: case for key, case in index.items() if case["protocol"] == "multiscan"}
+    assert cases
+    for key, case in cases.items():
+        sid, ages = case["subject_id"], subjects[case["subject_id"]].ages()
+
+        def scan(i):
+            return latents[f"{sid}/{i}"].astype(np.float64), ages[i]
+
+        first, *lags = case["conditioning"]
+        assert first == 0 and case["anchor"] == 4 and case["target"] in (5, 6)
+        if case["source"] == "global_prior":
+            beta = prior.mean
+        elif case["source"] == "posterior":
+            beta = posterior_update(prior, scan(first), [scan(i) for i in lags], noise).mean
+        else:
+            assert case["source"] == "regression"
+            beta = compute_beta(*zip(*(scan(i) for i in case["conditioning"])))
+        expect = decode(model, extrapolate(*scan(case["anchor"]), beta, ages[case["target"]]))
+        np.testing.assert_array_equal(forecasts[key], expect.astype(np.float32), err_msg=key)
+
+
+def test_evaluate_reads_no_prior_file(multiscan_run):
+    out, _ = multiscan_run
+    inputs = json.loads((out / "runs" / "evaluate.json").read_text())["inputs"]
+    assert (out / "priors" / "global.mrxt").exists()
+    assert not [rel for rel in inputs if rel.startswith("priors/")]
 
 
 def test_chain_writes_expected_artifacts(chain_run):
@@ -214,18 +303,22 @@ def test_stages_read_only_their_split_of_the_cohort_volumes(tmp_path, capsys):
         assert len(lines) == 1, stage
         assert lines[0].startswith("error: missing dependency: run stage 'generate-cohort' first")
 
-    # a forecast case of a subject outside the test split names predict
+    # a forecast case of a subject outside the test split, or of a scan its
+    # subject lacks, names predict
     write_tensors(volumes_path, volumes)
     index_path = out / PREDICTIONS
     index = json.loads(index_path.read_text())
+    case = next(iter(index.values()))
+    n_scans = len(next(s for s in manifest["subjects"] if s["subject_id"] == case["subject_id"])["scans"])
     train_sid = next(s["subject_id"] for s in manifest["subjects"] if s["split"] == "train")
-    index_path.write_text(json.dumps({**index, train_sid: next(iter(index.values()))}))
-    capsys.readouterr()
-    assert run("evaluate") == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: missing dependency: run stage 'predict' first")
-    assert train_sid in lines[0]
+    for bad in ({**case, "subject_id": train_sid}, {**case, "target": n_scans}):
+        index_path.write_text(json.dumps({**index, "injected": bad}))
+        capsys.readouterr()
+        assert run("evaluate") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: missing dependency: run stage 'predict' first")
+        assert bad["subject_id"] in lines[0]
 
 
 def test_evaluate_before_predict_names_predict(chain_run, capsys):
@@ -238,8 +331,8 @@ def test_evaluate_before_predict_names_predict(chain_run, capsys):
 
 
 def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run):
-    """Each forecast decodes the latest conditioning latent moved along the
-    source's rate to the target age.  Diffusion rates come from predict's one
+    """Each forecast decodes its anchor latent moved along the source's rate
+    to the target age.  Diffusion rates come from predict's one
     batched sampling call; here they are re-sampled one case at a time, which
     ties the batched stage path to resolve_beta's, up to matmul summation order."""
     out, cfg_path = all_sources_run
@@ -260,25 +353,28 @@ def test_deterministic_forecasts_extrapolate_the_stored_latents(all_sources_run)
         "k_samples": cfg.diffusion.k_samples,
     }
     sampling_seed = cfg.seed + SEED_OFFSETS["sampling"]
-    checked = 0
-    # predict numbers its cases in subject order
+    subjects = {s.subject_id: s for s in load_subjects(out / "cohort")}
     index = json.loads((out / PREDICTIONS).read_text())
     forecasts = read_tensors(out / FORECASTS)
-    for case_idx, sid in enumerate(sorted(index)):
-        case = index[sid]
-        cond = [(latents[f"{sid}/{i}"].astype(np.float64), age)
-                for i, age in enumerate(case["conditioning_ages"])]
-        for source in ("global_prior", "posterior", "regression", "gaussian_net", "diffusion"):
-            seed = sampling_seed + cfg.diffusion.k_samples * case_idx
-            beta = resolve_beta(cond, source, seed=seed, **beliefs)
-            expect = decode(model, extrapolate(*cond[-1], beta, case["target_age"]))
-            stored = forecasts[f"{source}/{sid}"]
-            if source == "diffusion":
-                np.testing.assert_allclose(stored, expect, rtol=1e-6, err_msg=source)
-            else:
-                np.testing.assert_array_equal(stored, expect.astype(np.float32), err_msg=source)
-            checked += 1
-    assert checked >= 5
+    assert forecasts.keys() == index.keys()
+    assert {case["source"] for case in index.values()} == set(BELIEF_SOURCES)
+    n_diffusion = 0  # predict numbers its diffusion cases in index order
+    for key, case in index.items():
+        sid, ages = case["subject_id"], subjects[case["subject_id"]].ages()
+
+        def scan(i):
+            return latents[f"{sid}/{i}"].astype(np.float64), ages[i]
+
+        seed = sampling_seed + cfg.diffusion.k_samples * n_diffusion
+        [beta] = resolve_beta([(case["source"], [scan(i) for i in case["conditioning"]], seed)],
+                              **beliefs)
+        expect = decode(model, extrapolate(*scan(case["anchor"]), beta, ages[case["target"]]))
+        if case["source"] == "diffusion":
+            np.testing.assert_allclose(forecasts[key], expect, rtol=1e-6, err_msg=key)
+            n_diffusion += 1
+        else:
+            np.testing.assert_array_equal(forecasts[key], expect.astype(np.float32), err_msg=key)
+    assert len(index) >= 5
 
 
 def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(
@@ -294,7 +390,7 @@ def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     def diffusion_forecasts(root):
-        return {k: v for k, v in read_tensors(root / FORECASTS).items() if k.startswith("diffusion/")}
+        return {k: v for k, v in read_tensors(root / FORECASTS).items() if "/diffusion/" in k}
 
     before, after = diffusion_forecasts(first), diffusion_forecasts(out)
     assert before and before.keys() == after.keys()
@@ -319,7 +415,7 @@ def test_diffusion_chains_of_different_cases_draw_different_noise(tmp_path, monk
         calls.append((list(seeds), k))
         return sample_betas(denoiser, latents, ages, seeds, k)
 
-    monkeypatch.setattr(pipeline, "sample_betas", recording)
+    monkeypatch.setattr(diffusion, "sample_betas", recording)
     for stage in ("generate-cohort", "train-ae", "encode", "fit-betas",
                   "fit-diffusion-prior", "predict"):
         assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0, stage
