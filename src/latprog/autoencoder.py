@@ -40,7 +40,6 @@ class AEConfig:
     gamma_kl: float = 1e-5
     ssim_weight: float = 1.0
     ssim_window: int = 7
-    dynamic_range: float = 1.0
     learning_rate: float = 1e-4
     epochs: int = 12
     batch_size: int = 16
@@ -233,8 +232,7 @@ def loss_and_grads(
     d_xhat = np.sign(diff) / (b * d)
     for i in range(b):
         value, grad = ssim3d_with_grad(
-            x_flat[i].reshape(shape3), x_hat[i].reshape(shape3),
-            cfg.ssim_window, cfg.dynamic_range,
+            x_flat[i].reshape(shape3), x_hat[i].reshape(shape3), cfg.ssim_window
         )
         ssim_sum += 1.0 - value
         d_xhat[i] -= cfg.ssim_weight * grad.ravel() / b

@@ -102,7 +102,8 @@ def _check(value, tp, path: str):
 # Lowest value of each count, by field name in any section; `epochs: 0` keeps the init.
 _MINIMUMS = {"n_subjects": 1, "grid_size": 1, "batch_size": 1, "hidden_width": 1,
              "timesteps": 1, "k_samples": 1, "embed_width": 0, "epochs": 0}
-# Allowed values of each choice, by field name in any section; a list checks each item.
+# Allowed values of each choice, by field name in any section; a list checks each
+# item and may name each at most once.
 _CHOICES = {"init": INITS, "predict_sources": BELIEF_SOURCES}
 
 
@@ -116,9 +117,12 @@ def _build_section(cls, data: dict, path: str):
         if key in _MINIMUMS and value < _MINIMUMS[key]:
             raise ConfigError(f"{path}.{key} must be at least {_MINIMUMS[key]}, got {value}")
         if key in _CHOICES:
-            for item in value if isinstance(value, tuple) else (value,):
+            items = value if isinstance(value, tuple) else (value,)
+            for i, item in enumerate(items):
                 if item not in _CHOICES[key]:
                     raise ConfigError(f"{path}.{key}: {item!r} is not one of {_CHOICES[key]}")
+                if item in items[:i]:
+                    raise ConfigError(f"{path}.{key}: {item!r} is named twice")
     return cls(**values)
 
 

@@ -218,9 +218,6 @@ class BetaNormTable:
     cells: dict[tuple[str, str], BetaNormCell]  # (diagnosis, bin label)
     overall: dict[str, BetaNormCell]  # diagnosis -> cell
 
-    def bin_labels(self) -> list[str]:
-        return sorted({label for _, label in self.cells}, key=lambda s: float(s[1:].split(",")[0]))
-
 
 def _age_bin(age: float, width: float = 5.0, start: float = 60.0) -> str:
     idx = int(np.floor((age - start) / width))

@@ -89,14 +89,6 @@ def l1_slope(delta_ages: np.ndarray, delta_latents: np.ndarray) -> np.ndarray:
     return beta.reshape(out_shape)
 
 
-def l1_slope_objective(beta, delta_ages, delta_latents) -> np.ndarray:
-    """The regression objective sum_k |dz_k - beta * da_k|, elementwise."""
-    da = np.asarray(delta_ages, dtype=np.float64)
-    dz = np.asarray(delta_latents, dtype=np.float64).reshape(len(da), -1)
-    b = np.asarray(beta, dtype=np.float64).reshape(1, -1)
-    return np.sum(np.abs(dz - b * da[:, None]), axis=0)
-
-
 def compute_beta(latents, ages) -> np.ndarray:
     """Per-subject progression rate from >= 2 scans.
 

@@ -3,13 +3,12 @@
 Local statistics use cubic sliding windows at stride 1, evaluated only where
 the window fits entirely inside the volume (no padding), with population
 normalization.  Stabilizers follow the standard form C1 = (0.01 * L)^2,
-C2 = (0.03 * L)^2 for dynamic range L.
+C2 = (0.03 * L)^2 for the dynamic range L = 1 of the phantom's intensities.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 
 def check_window(window: int, shape: tuple[int, ...]) -> None:
@@ -30,23 +29,39 @@ def _check_inputs(x: np.ndarray, y: np.ndarray, window: int, stack: bool = False
         raise ValueError("non-finite values in input volumes")
 
 
-def _interior(window: int) -> tuple:
-    """Index of the window centres whose window lies inside the volume."""
-    lo = window // 2
-    return (slice(lo, -lo),) * 3
+def _box_sums(v: np.ndarray, window: int, full: bool = False) -> np.ndarray:
+    """Sums of ``v`` over every cubic window that lies inside it, or with
+    ``full`` over every window that overlaps it, ``v`` taken as zero outside.
+
+    The full sums are the adjoint of the valid sums:
+    <valid(x), y> == <x, full(y)>.  Each axis is summed as ``window`` shifted
+    slices, which at these window sizes is faster than differences of
+    cumulative sums and adds no cancellation error.
+    """
+    if full:
+        v = np.pad(v, window - 1)
+    at = [slice(None)] * v.ndim
+    for axis in range(v.ndim):
+        n = v.shape[axis] - window + 1
+        at[axis] = slice(0, n)
+        sums = v[tuple(at)].copy()
+        for k in range(1, window):
+            at[axis] = slice(k, k + n)
+            sums += v[tuple(at)]
+        at[axis] = slice(None)
+        v = sums
+    return v
 
 
 def _window_means(v: np.ndarray, window: int) -> np.ndarray:
-    # Box means over the full grid; only the interior is kept, so the
-    # filter's boundary mode is irrelevant there.
-    return uniform_filter(v, window)[_interior(window)]
+    return _box_sums(v, window) / window**3
 
 
-def _terms(mu_x, ex2, mu_y, ey2, exy, dynamic_range: float):
+def _terms(mu_x, ex2, mu_y, ey2, exy):
     """Per-window luminance terms a1/b1 and contrast-structure terms a2/b2
     from the box means of x, x*x, y, y*y and x*y."""
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
+    c1 = 0.01**2
+    c2 = 0.03**2
     var_x = ex2 - mu_x * mu_x
     var_y = ey2 - mu_y * mu_y
     cov = exy - mu_x * mu_y
@@ -57,7 +72,7 @@ def _terms(mu_x, ex2, mu_y, ey2, exy, dynamic_range: float):
     return a1, a2, b1, b2
 
 
-def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7, dynamic_range: float = 1.0):
+def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7):
     """Mean SSIM between two volumes over all fully-interior windows.
 
     ``y`` may also be a stack (m, *x.shape) of volumes, each scored against
@@ -72,24 +87,22 @@ def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7, dynamic_range: float =
     values = []
     for v in y if stack else [y]:
         # One volume at a time: the temporaries stay in cache, and the
-        # filters run exactly as in a call on that volume alone.
+        # sums run exactly as in a call on that volume alone.
         v = np.asarray(v, dtype=np.float64)
         a1, a2, b1, b2 = _terms(mu_x, ex2, _window_means(v, window), _window_means(v * v, window),
-                                _window_means(x * v, window), dynamic_range)
+                                _window_means(x * v, window))
         values.append(float(np.mean((a1 * a2) / (b1 * b2))))
     return np.array(values) if stack else values[0]
 
 
-def ssim3d_with_grad(
-    x: np.ndarray, y: np.ndarray, window: int = 7, dynamic_range: float = 1.0
-) -> tuple[float, np.ndarray]:
+def ssim3d_with_grad(x: np.ndarray, y: np.ndarray, window: int = 7) -> tuple[float, np.ndarray]:
     """SSIM and its gradient with respect to ``y``.
 
     Per window w with n voxels, SSIM_w = (A1*A2)/(B1*B2) where A1, B1 are the
     luminance terms and A2, B2 the contrast/structure terms.  d SSIM_w / d y_q
     for q in w expands to (1/n) * (c0 + cx * x_q + cy * y_q) with per-window
-    coefficients; summing windows containing q is a box filter over the
-    window-center fields, so the whole gradient costs a few separable passes.
+    coefficients; summing the windows containing q is the full box sum of
+    each coefficient field, so the whole gradient costs three box sums.
     """
     _check_inputs(x, y, window)
     x = np.asarray(x, dtype=np.float64)
@@ -97,8 +110,7 @@ def ssim3d_with_grad(
     mu_x = _window_means(x, window)
     mu_y = _window_means(y, window)
     a1, a2, b1, b2 = _terms(mu_x, _window_means(x * x, window), mu_y,
-                            _window_means(y * y, window), _window_means(x * y, window),
-                            dynamic_range)
+                            _window_means(y * y, window), _window_means(x * y, window))
     s = (a1 * a2) / (b1 * b2)
     value = float(np.mean(s))
 
@@ -108,13 +120,7 @@ def ssim3d_with_grad(
     cx = 2 * a1 * inv_b1b2
     cy = -2 * s / b2
 
-    def box_sum(center_field):
-        full = np.zeros_like(x)
-        full[_interior(window)] = center_field
-        # uniform_filter normalizes by n; with the trailing 1/n in the
-        # per-window expansion this cancels exactly.
-        return uniform_filter(full, window, mode="constant", cval=0.0)
-
-    n_windows = s.size
-    grad = (box_sum(c0) + x * box_sum(cx) + y * box_sum(cy)) / n_windows
+    n_terms = s.size * window**3  # the mean over windows times the per-window 1/n
+    grad = (_box_sums(c0, window, full=True) + x * _box_sums(cx, window, full=True)
+            + y * _box_sums(cy, window, full=True)) / n_terms
     return value, grad

@@ -21,6 +21,14 @@ def l1_objective(beta, slopes, weights):
     return total
 
 
+def l1_slope_objective(beta, delta_ages, delta_latents):
+    """The regression objective sum_k |dz_k - beta * da_k|, elementwise."""
+    da = np.asarray(delta_ages, dtype=np.float64)
+    dz = np.asarray(delta_latents, dtype=np.float64).reshape(len(da), -1)
+    b = np.asarray(beta, dtype=np.float64).reshape(1, -1)
+    return np.sum(np.abs(dz - b * da[:, None]), axis=0)
+
+
 def l1_grid_argmin(slopes, weights, lo=0.0, hi=12.0, step=1e-4):
     """Brute-force scan of the L1 objective; returns (argmin, min)."""
     grid = np.arange(lo, hi + step, step)
@@ -64,6 +72,16 @@ def ssim_reference(a, b, window, dynamic_range=1.0):
                 den = (mu_a**2 + mu_b**2 + c1) * (va + vb + c2)
                 vals.append(num / den)
     return float(np.mean(vals))
+
+
+def window_sums_reference(v, window):
+    """Sum over every cubic window inside ``v``, one window at a time."""
+    v = np.asarray(v, dtype=np.float64)
+    w = window
+    out = np.empty([s - w + 1 for s in v.shape])
+    for i, j, k in np.ndindex(*out.shape):
+        out[i, j, k] = v[i : i + w, j : j + w, k : k + w].sum()
+    return out
 
 
 def kl_reference(mu, log_var):
@@ -207,6 +225,12 @@ def segment_argmin(volume, intensities, ids):
     labels = ids[np.argmin(np.abs(vol[..., None] - intensities), axis=-1)]
     labels[vol < intensities[0] / 2.0] = 0
     return labels.astype(np.int32)
+
+
+def bin_labels(table):
+    """The age-bin labels of a beta-norm table, in ascending order of their
+    lower edge."""
+    return sorted({label for _, label in table.cells}, key=lambda s: float(s[1:].split(",")[0]))
 
 
 def reconstruct(model, volume):

@@ -379,7 +379,7 @@ def test_criterion_8_rate_norm_ordering(model60, spec32):
     assert overall["dementia"].mean > overall["mci"].mean > overall["healthy"].mean
 
     full_bins = 0
-    for label in table.bin_labels():
+    for label in oracles.bin_labels(table):
         cells = {d: table.cells.get((d, label)) for d in ("healthy", "mci", "dementia")}
         if any(c is None for c in cells.values()):
             continue

@@ -290,7 +290,7 @@ def test_beta_norm_single_subject():
 
 def test_beta_norm_bins_extend_below_start():
     table = beta_norm_analysis([(np.ones(2), "MCI", 57.0)])
-    assert table.bin_labels() == ["[55,60)"]
+    assert oracles.bin_labels(table) == ["[55,60)"]
 
 
 def test_beta_norm_hand_stats():
@@ -306,12 +306,12 @@ def test_beta_norm_hand_stats():
     assert cell.se == pytest.approx(np.std([1.0, 3.0], ddof=1) / np.sqrt(2))
     assert table.cells[("healthy", "[70,75)")].count == 1
     assert table.overall["dementia"].mean == pytest.approx(2.0)
-    assert table.bin_labels() == ["[60,65)", "[70,75)"]
+    assert oracles.bin_labels(table) == ["[60,65)", "[70,75)"]
 
 
 def test_beta_norm_custom_bins():
     table = beta_norm_analysis([(np.ones(1), "healthy", 70.0)], bin_width=10.0)
-    assert table.bin_labels() == ["[70,80)"]
+    assert oracles.bin_labels(table) == ["[70,80)"]
 
 
 # ----------------------------------------------------------------- summaries

@@ -203,6 +203,8 @@ def test_values_checked_against_annotations():
         ({"cohort": {"scans_per_subject": [2, 3, 4]}}, "must have 2 items"),
         ({"evaluation": {"lag_years": [1, "2"]}}, r"evaluation.lag_years\[1\] must be a number"),
         ({"cohort": {"diagnosis_mix": {"mci": "x"}}}, "cohort.diagnosis_mix.mci must be a number"),
+        ({"evaluation": {"predict_sources": ["posterior", "regression", "posterior"]}},
+         "evaluation.predict_sources: 'posterior' is named twice"),
     ]:
         with pytest.raises(ConfigError, match=message):
             config_from_dict(doc)

@@ -520,6 +520,19 @@ def test_cli_parser_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_loads_no_scipy():
+    """The package needs numpy alone."""
+    code = (
+        "import sys, latprog.cli, latprog.pipeline\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_lock_conflict_reported(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

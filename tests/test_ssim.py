@@ -6,7 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latprog.ssim import ssim3d, ssim3d_with_grad
+from latprog.ssim import _box_sums, ssim3d, ssim3d_with_grad
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+def test_box_sums_match_per_window_loop(rng, window):
+    v = rng.random((8, 9, 11))
+    got = _box_sums(v, window)
+    want = oracles.window_sums_reference(v, window)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+def test_full_box_sums_are_adjoint_of_valid_sums(rng, window):
+    x = rng.random((8, 9, 11))
+    y = rng.random([s - window + 1 for s in x.shape])
+    full = _box_sums(y, window, full=True)
+    assert full.shape == x.shape
+    assert np.vdot(_box_sums(x, window), y) == pytest.approx(np.vdot(x, full), rel=1e-12)
 
 
 def test_identical_volumes_score_one(rng):
