@@ -19,7 +19,6 @@ nearest-intensity segmentation never leaks a third label into the boundary.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,15 +42,30 @@ _EDGE_WIDTH = 1.0
 _GRID_MARGIN = 1.5
 
 
-class _Shape:
-    """Soft and hard membership from a subclass's ``_signed_distance`` (voxels, < 0 inside)."""
+def _norm(coords, center, scale) -> np.ndarray:
+    """Euclidean norm of ``(coords - center) / scale``, adding the axes in order."""
+    x, y, z = (((a - c) / s) ** 2 for a, c, s in zip(coords, center, scale))
+    return np.sqrt(x + y + z)
 
-    def coverage(self, coords: np.ndarray) -> np.ndarray:
+
+class _Shape:
+    """Soft and hard membership from a subclass's ``_signed_distance`` (voxels, < 0
+    inside) at ``coords``, three broadcastable axis arrays (an open or a dense grid)."""
+
+    def coverage(self, coords) -> np.ndarray:
         d = self._signed_distance(coords)
         return np.clip(0.5 - d / _EDGE_WIDTH, 0.0, 1.0)
 
-    def contains(self, coords: np.ndarray) -> np.ndarray:
+    def contains(self, coords) -> np.ndarray:
         return self._signed_distance(coords) <= 0.0
+
+    def box(self, grid_size: int) -> tuple[slice, slice, slice]:
+        """Voxel slices, clipped to the grid, outside which coverage is exactly 0: it
+        is 0 from ``_reach()`` past ``bounds()``, and rounding outwards spares a voxel."""
+        (lo, hi), reach = self.bounds(), self._reach()
+        start = np.maximum(np.floor(lo - reach), 0).astype(int)
+        stop = np.minimum(np.ceil(hi + reach) + 1, grid_size).astype(int)
+        return tuple(slice(a, b) for a, b in zip(start, stop))
 
 
 @dataclass(frozen=True)
@@ -66,18 +80,22 @@ class Ellipsoid(_Shape):
     def scaled(self, factor: float) -> "Ellipsoid":
         return Ellipsoid(self.center, tuple(r * factor for r in self.radii))
 
-    def _signed_distance(self, coords: np.ndarray) -> np.ndarray:
+    def _r_eff(self) -> float:
+        return float(np.cbrt(self.radii[0] * self.radii[1] * self.radii[2]))
+
+    def _signed_distance(self, coords) -> np.ndarray:
         # Normalized radius, converted to an approximate voxel distance via
         # the mean radius; exact enough for a one-voxel ramp.
-        c = np.asarray(self.center).reshape(3, 1, 1, 1)
-        r = np.asarray(self.radii).reshape(3, 1, 1, 1)
-        rho = np.sqrt(np.sum(((coords - c) / r) ** 2, axis=0))
-        r_eff = float(np.cbrt(self.radii[0] * self.radii[1] * self.radii[2]))
-        return (rho - 1.0) * r_eff
+        return (_norm(coords, self.center, self.radii) - 1.0) * self._r_eff()
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         c, r = np.asarray(self.center), np.asarray(self.radii)
         return c - r, c + r
+
+    def _reach(self) -> np.ndarray:
+        # Past r_i + reach_i along axis i the normalized radius exceeds
+        # 1 + reach_i / r_i, so the distance exceeds half the edge width.
+        return np.asarray(self.radii) * (0.5 * _EDGE_WIDTH / self._r_eff())
 
 
 @dataclass(frozen=True)
@@ -91,16 +109,16 @@ class SpherePair(_Shape):
     def scaled(self, factor: float) -> "SpherePair":
         return SpherePair(self.centers, self.radius * factor)
 
-    def _signed_distance(self, coords: np.ndarray) -> np.ndarray:
-        dists = []
-        for center in self.centers:
-            c = np.asarray(center).reshape(3, 1, 1, 1)
-            dists.append(np.sqrt(np.sum((coords - c) ** 2, axis=0)))
+    def _signed_distance(self, coords) -> np.ndarray:
+        dists = [_norm(coords, center, (1.0, 1.0, 1.0)) for center in self.centers]
         return np.minimum(*dists) - self.radius
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         cs = np.asarray(self.centers)
         return cs.min(axis=0) - self.radius, cs.max(axis=0) + self.radius
+
+    def _reach(self) -> float:
+        return 0.5 * _EDGE_WIDTH
 
 
 Geometry = Ellipsoid | SpherePair
@@ -172,9 +190,9 @@ def default_spec(grid_size: int = 32, noise_sigma: float = 0.005) -> PhantomSpec
     return spec
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_coords(grid_size: int) -> np.ndarray:
-    return np.indices((grid_size,) * 3, dtype=np.float64)
+def _grid_coords(box) -> tuple[np.ndarray, ...]:
+    """The voxel coordinates of a box of slices as an open grid: three broadcastable axis arrays."""
+    return np.ix_(*(np.arange(s.start, s.stop, dtype=np.float64) for s in box))
 
 
 def _visible_targets(spec: PhantomSpec, rate_multipliers, age: float) -> list[float]:
@@ -238,7 +256,7 @@ def validate_spec(spec: PhantomSpec) -> None:
         )
     # Probe worst-case geometry: every region at the fastest rate, both age
     # extremes.  Each region must stay inside the one before it.
-    coords = _grid_coords(spec.grid_size)
+    coords = _grid_coords((slice(0, spec.grid_size),) * 3)
     mults = {r.region_id: spec.max_multiplier for r in spec.regions}
     for age in (AGE_MIN, AGE_MAX):
         prims = _scaled_primitives(spec, mults, age)
@@ -262,14 +280,15 @@ def render_volume(
 
     Deterministic given (spec, rate_multipliers, age, seed).  Painting is
     alpha compositing in region order, so boundary voxels blend between the
-    two adjacent regions only.
+    two adjacent regions only.  Each region is painted inside its box only:
+    outside it, coverage 0 would leave each voxel as it is.
     """
-    coords = _grid_coords(spec.grid_size)
     prims = _scaled_primitives(spec, rate_multipliers, age)
     vol = np.zeros((spec.grid_size,) * 3, dtype=np.float64)
     for region, geom in zip(spec.regions, prims):
-        cov = geom.coverage(coords)
-        vol = vol * (1.0 - cov) + region.intensity * cov
+        box = geom.box(spec.grid_size)
+        cov = geom.coverage(_grid_coords(box))
+        vol[box] = vol[box] * (1.0 - cov) + region.intensity * cov
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         vol = vol + rng.normal(0.0, spec.noise_sigma, vol.shape)
@@ -278,11 +297,11 @@ def render_volume(
 
 def segment_oracle(spec: PhantomSpec, rate_multipliers, age: float) -> np.ndarray:
     """Exact label map from the generating geometry (no intensities involved)."""
-    coords = _grid_coords(spec.grid_size)
     prims = _scaled_primitives(spec, rate_multipliers, age)
     labels = np.zeros((spec.grid_size,) * 3, dtype=np.int32)
     for region, geom in zip(spec.regions, prims):
-        labels[geom.contains(coords)] = region.region_id
+        box = geom.box(spec.grid_size)
+        labels[box][geom.contains(_grid_coords(box))] = region.region_id
     return labels
 
 

@@ -1,7 +1,9 @@
 """Stage orchestration over a single output directory.
 
 Every stage writes its artifacts plus a JSON run record under runs/ with
-the resolved config hash, the seed, input file hashes, and wall time.
+the resolved config hash, the seed, input file hashes, wall time, and how
+the process ran: its BLAS thread setting, numpy's BLAS build, and its peak
+RSS.
 A lock file serializes pipelines per output directory.  Metric CSVs are
 deterministic functions of (config, seed).
 """
@@ -13,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -106,6 +109,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _blas_build() -> dict | None:
+    """Name and version of the BLAS numpy was built with, or None where numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        return None
+
+
 def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, str],
                   outputs: list[str], wall_time: float) -> None:
     runs = out / "runs"
@@ -118,6 +130,10 @@ def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, str],
         "wall_time_s": round(wall_time, 3),
         "inputs": inputs,
         "outputs": outputs,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "blas": _blas_build(),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     write_json(runs / f"{stage}.json", record)
 

@@ -153,6 +153,45 @@ def ellipsoid_volume(radii):
     return 4.0 / 3.0 * np.pi * a * b * c
 
 
+def phantom_signed_distance(shape, grid_size):
+    """Signed distance (voxels, < 0 inside) of a phantom ``Ellipsoid`` or
+    ``SpherePair`` at every voxel of the grid, from a dense (3, n, n, n)
+    coordinate array summed over its first axis."""
+    coords = np.indices((grid_size,) * 3, dtype=np.float64)
+    if hasattr(shape, "radii"):
+        c = np.asarray(shape.center).reshape(3, 1, 1, 1)
+        r = np.asarray(shape.radii).reshape(3, 1, 1, 1)
+        rho = np.sqrt(np.sum(((coords - c) / r) ** 2, axis=0))
+        return (rho - 1.0) * float(np.cbrt(shape.radii[0] * shape.radii[1] * shape.radii[2]))
+    dists = [np.sqrt(np.sum((coords - np.asarray(c).reshape(3, 1, 1, 1)) ** 2, axis=0))
+             for c in shape.centers]
+    return np.minimum(*dists) - shape.radius
+
+
+def phantom_coverage(shape, grid_size):
+    """Soft membership with a one-voxel linear ramp across the boundary."""
+    return np.clip(0.5 - phantom_signed_distance(shape, grid_size), 0.0, 1.0)
+
+
+def render_dense(shapes, intensities, grid_size, noise_sigma, seed):
+    """Alpha-composite every shape over the whole grid in order, then add noise."""
+    vol = np.zeros((grid_size,) * 3, dtype=np.float64)
+    for shape, intensity in zip(shapes, intensities):
+        cov = phantom_coverage(shape, grid_size)
+        vol = vol * (1.0 - cov) + intensity * cov
+    if noise_sigma > 0:
+        vol = vol + np.random.default_rng(seed).normal(0.0, noise_sigma, vol.shape)
+    return vol.astype(np.float32)
+
+
+def segment_dense(shapes, region_ids, grid_size):
+    """Label every voxel inside a shape with its id, later shapes on top."""
+    labels = np.zeros((grid_size,) * 3, dtype=np.int32)
+    for shape, rid in zip(shapes, region_ids):
+        labels[phantom_signed_distance(shape, grid_size) <= 0.0] = rid
+    return labels
+
+
 def gaussian_prior_loss_reference(mu, log_var, beta, nll_weight):
     """mean over samples of |mu - beta|_mean + w * ((beta-mu)^2/var + lv)_mean."""
     mu = np.asarray(mu, dtype=np.float64)

@@ -11,6 +11,7 @@ from latprog.phantom import (
     HEALTHY,
     MCI,
     Ellipsoid,
+    SpherePair,
     default_spec,
     generate_cohort,
     label_diagnosis,
@@ -34,6 +35,87 @@ def test_ellipsoid_count_matches_analytic_volume():
     count = geom.coverage(coords).sum()
     expected = oracles.ellipsoid_volume((4.0, 5.0, 4.0))
     assert abs(count - expected) / expected < 0.08
+
+
+def _assert_matches_dense(spec, mult, age, seed):
+    """Rendering and labels inside each shape's box are byte for byte the dense
+    full-grid forms."""
+    shapes = phantom._scaled_primitives(spec, mult, age)
+    intensities = [r.intensity for r in spec.regions]
+    want = oracles.render_dense(shapes, intensities, spec.grid_size, spec.noise_sigma, seed)
+    assert render_volume(spec, mult, age, seed).tobytes() == want.tobytes()
+    np.testing.assert_array_equal(
+        segment_oracle(spec, mult, age),
+        oracles.segment_dense(shapes, spec.region_ids(), spec.grid_size),
+    )
+
+
+@pytest.mark.parametrize("noise_sigma", [0.005, 0.0])
+def test_render_and_labels_equal_the_dense_oracle(noise_sigma):
+    spec = default_spec(noise_sigma=noise_sigma)
+    _assert_matches_dense(spec, unit_multipliers(spec), 70.0, seed=7)
+
+
+@pytest.mark.parametrize("age", [55.0, 70.0, 95.0])
+def test_render_and_labels_equal_the_dense_oracle_at_the_extremes(spec32, age):
+    mult = {r.region_id: spec32.max_multiplier for r in spec32.regions}
+    _assert_matches_dense(spec32, mult, age, seed=11)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mults=st.lists(st.floats(0.9, 2.2), min_size=4, max_size=4), age=st.floats(55.0, 95.0),
+       seed=st.integers(0, 2**63 - 1), noisy=st.booleans())
+def test_render_and_labels_equal_the_dense_oracle_at_random(mults, age, seed, noisy):
+    spec = default_spec(noise_sigma=0.005 if noisy else 0.0)
+    _assert_matches_dense(spec, dict(zip(spec.region_ids(), mults)), age, seed)
+
+
+def _assert_box_is_exact(shape, grid_size=32):
+    """Dense coverage is exactly 0 outside the shape's box, and inside it the
+    box's own coverage is byte for byte the dense one."""
+    box = shape.box(grid_size)
+    for s in box:
+        assert 0 <= s.start and s.stop <= grid_size
+    dense = oracles.phantom_coverage(shape, grid_size)
+    outside = np.ones(dense.shape, dtype=bool)
+    outside[box] = False
+    assert not dense[outside].any()
+    assert shape.coverage(phantom._grid_coords(box)).tobytes() == dense[box].tobytes()
+
+
+_centers = st.tuples(*[st.floats(-3.0, 35.0)] * 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(center=_centers, radii=st.tuples(*[st.floats(0.5, 14.0)] * 3))
+def test_ellipsoid_coverage_is_zero_outside_its_box(center, radii):
+    _assert_box_is_exact(Ellipsoid(center, radii))
+
+
+@settings(max_examples=25, deadline=None)
+@given(c0=_centers, c1=_centers, radius=st.floats(0.5, 6.0))
+def test_sphere_pair_coverage_is_zero_outside_its_box(c0, c1, radius):
+    _assert_box_is_exact(SpherePair((c0, c1), radius))
+
+
+@pytest.mark.parametrize("shape", [
+    Ellipsoid((1.2, 15.5, 30.6), (4.0, 3.0, 5.0)),
+    Ellipsoid((-2.0, 33.0, 15.5), (6.0, 6.5, 5.5)),
+    SpherePair(((0.4, 10.0, 12.0), (31.3, 20.0, 12.0)), 2.5),
+], ids=["ellipsoid-at-faces", "ellipsoid-past-faces", "sphere-pair-at-faces"])
+def test_a_box_clipped_at_the_grid_faces_is_exact(shape):
+    box = shape.box(32)
+    assert any(s.start == 0 for s in box) and any(s.stop == 32 for s in box)
+    _assert_box_is_exact(shape)
+
+
+def test_an_elongated_ellipsoid_reaches_past_half_a_voxel():
+    # The ramp scales with r_y / r_eff: along y coverage reaches
+    # 12 * 0.5 / cbrt(0.8 * 12 * 0.8) = 3.0 voxels past the surface, so a box
+    # widened by a flat half voxel, even with a voxel to spare, cuts it off.
+    shape = Ellipsoid((15.0, 15.0, 15.0), (0.8, 12.0, 0.8))
+    assert oracles.phantom_coverage(shape, 32)[15, 15 + 12 + 3, 15] > 0.0
+    _assert_box_is_exact(shape)
 
 
 def test_intensity_and_oracle_segmentations_agree(spec32):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -217,6 +218,32 @@ def test_chain_run_records(chain_run):
     train_record = json.loads((out / "runs" / "train-ae.json").read_text())
     manifest_sha = hashlib.sha256((out / "cohort/manifest.json").read_bytes()).hexdigest()
     assert train_record["inputs"]["cohort/manifest.json"] == manifest_sha
+
+
+@pytest.mark.parametrize("threads", [None, 1])
+def test_run_record_says_how_the_process_ran(tmp_path, monkeypatch, threads):
+    # --threads sets these in the environment; monkeypatch restores them
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(MINI_CONFIG))
+    out = tmp_path / "out"
+    extra = [] if threads is None else ["--threads", str(threads)]
+    assert main(["generate-cohort", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+    record = json.loads((out / "runs" / "generate-cohort.json").read_text())
+    assert record["blas_threads"] == (None if threads is None else str(threads))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert record["blas"] == {"name": blas["name"], "version": blas["version"]}
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0 < record["peak_rss_mib"] <= peak_mib + 0.1
+
+
+@pytest.mark.parametrize("show_config", [lambda mode: {}, lambda: None],
+                         ids=["no-build-dependencies", "no-dicts-mode"])
+def test_run_record_blas_is_null_where_numpy_cannot_say(monkeypatch, show_config):
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert pipeline._blas_build() is None
 
 
 def test_latents_cover_every_scan(chain_run):
