@@ -61,10 +61,12 @@ class _Shape:
 
     def box(self, grid_size: int) -> tuple[slice, slice, slice]:
         """Voxel slices, clipped to the grid, outside which coverage is exactly 0: it
-        is 0 from ``_reach()`` past ``bounds()``, and rounding outwards spares a voxel."""
+        is 0 from ``_reach()`` past ``bounds()``, and rounding outwards spares a voxel.
+        A shape wholly past a face gets an empty slice there, never a negative stop,
+        which numpy would count from the end of the axis."""
         (lo, hi), reach = self.bounds(), self._reach()
-        start = np.maximum(np.floor(lo - reach), 0).astype(int)
-        stop = np.minimum(np.ceil(hi + reach) + 1, grid_size).astype(int)
+        start = np.clip(np.floor(lo - reach), 0, grid_size).astype(int)
+        stop = np.clip(np.ceil(hi + reach) + 1, start, grid_size).astype(int)
         return tuple(slice(a, b) for a, b in zip(start, stop))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latprog import phantom
@@ -88,12 +88,14 @@ _centers = st.tuples(*[st.floats(-3.0, 35.0)] * 3)
 
 @settings(max_examples=25, deadline=None)
 @given(center=_centers, radii=st.tuples(*[st.floats(0.5, 14.0)] * 3))
+@example(center=(0.0, 0.0, -3.0), radii=(0.5, 0.5, 0.5))
 def test_ellipsoid_coverage_is_zero_outside_its_box(center, radii):
     _assert_box_is_exact(Ellipsoid(center, radii))
 
 
 @settings(max_examples=25, deadline=None)
 @given(c0=_centers, c1=_centers, radius=st.floats(0.5, 6.0))
+@example(c0=(0.0, 0.0, -3.0), c1=(0.0, 0.0, -3.0), radius=0.5)
 def test_sphere_pair_coverage_is_zero_outside_its_box(c0, c1, radius):
     _assert_box_is_exact(SpherePair((c0, c1), radius))
 
@@ -107,6 +109,14 @@ def test_a_box_clipped_at_the_grid_faces_is_exact(shape):
     box = shape.box(32)
     assert any(s.start == 0 for s in box) and any(s.stop == 32 for s in box)
     _assert_box_is_exact(shape)
+
+
+def test_a_shape_wholly_past_a_face_gets_an_empty_box():
+    # Past the low face the box's stop would be negative, which numpy counts
+    # from the end of the axis: the box must be empty there instead.
+    shape = SpherePair(((0.0, 0.0, -3.0), (0.0, 0.0, -3.0)), 0.5)
+    assert shape.box(32)[2] == slice(0, 0)
+    assert Ellipsoid((40.0, 15.0, 15.0), (1.0, 1.0, 1.0)).box(32)[0] == slice(32, 32)
 
 
 def test_an_elongated_ellipsoid_reaches_past_half_a_voxel():
