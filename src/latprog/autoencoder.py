@@ -14,8 +14,8 @@ count; every further dimension would carry only noise.
 
 The encoded distribution is a diagonal Gaussian whose mean depends on the
 input and whose log-variance is one learned value per latent element, the
-same for every input.  Loss: mean absolute error + ssim_weight * (1 - SSIM)
-+ gamma_kl * KL to a unit Gaussian.  During training the decoder sees a
+same for every input.  Loss: mean absolute error + SSIM_WEIGHT * (1 - SSIM)
++ GAMMA_KL * KL to a unit Gaussian.  During training the decoder sees a
 reparameterized sample from the encoded distribution; at inference only the
 mean is decoded.
 """
@@ -33,19 +33,19 @@ from .tensorfile import load_with_meta, save_with_meta
 LATENT_DIM = 8
 INITS = ("pca", "random", "zeros")
 _LOGVAR_INIT = -6.0
+# Weights of the loss terms after the mean absolute error.
+SSIM_WEIGHT = 1.0
+GAMMA_KL = 1e-5
 
 
 @dataclass(frozen=True)
 class AEConfig:
-    gamma_kl: float = 1e-5
-    ssim_weight: float = 1.0
     ssim_window: int = 7
     learning_rate: float = 1e-4
     epochs: int = 12
     batch_size: int = 16
     init: str = "pca"  # one of INITS
     sample_latent: bool = True
-    rmsprop_decay: float = 0.99
     seed: int = 0
 
 
@@ -204,7 +204,6 @@ def loss_and_grads(
     None to decode the mean (also what inference does).  Supplying eps
     explicitly keeps the loss deterministic for gradient checking.
     """
-    cfg = model.config
     p = model.params
     b = x_batch.shape[0]
     d = model.n_voxels
@@ -232,12 +231,12 @@ def loss_and_grads(
     d_xhat = np.sign(diff) / (b * d)
     for i in range(b):
         value, grad = ssim3d_with_grad(
-            x_flat[i].reshape(shape3), x_hat[i].reshape(shape3), cfg.ssim_window
+            x_flat[i].reshape(shape3), x_hat[i].reshape(shape3), model.config.ssim_window
         )
         ssim_sum += 1.0 - value
-        d_xhat[i] -= cfg.ssim_weight * grad.ravel() / b
+        d_xhat[i] -= SSIM_WEIGHT * grad.ravel() / b
     ssim_term = ssim_sum / b
-    total = l1 + cfg.ssim_weight * ssim_term + cfg.gamma_kl * kl
+    total = l1 + SSIM_WEIGHT * ssim_term + GAMMA_KL * kl
 
     # Decoder backward; dec_w's gradient in dec_w's own memory order (Fortran
     # under the PCA tie), for the optimizer.
@@ -248,11 +247,11 @@ def loss_and_grads(
     d_z = d_xhat @ p["dec_w"]
 
     # Through the reparameterization and KL.
-    d_zmu = d_z + cfg.gamma_kl * z_mu / b
+    d_zmu = d_z + GAMMA_KL * z_mu / b
     if eps is not None:
-        d_zlv = d_z * (0.5 * sigma * eps) + cfg.gamma_kl * 0.5 * (np.exp(z_lv) - 1.0) / b
+        d_zlv = d_z * (0.5 * sigma * eps) + GAMMA_KL * 0.5 * (np.exp(z_lv) - 1.0) / b
     else:
-        d_zlv = cfg.gamma_kl * 0.5 * (np.exp(z_lv) - 1.0) / b
+        d_zlv = GAMMA_KL * 0.5 * (np.exp(z_lv) - 1.0) / b
 
     # Encoder backward.
     grads["enc_b_mean"] = d_zmu.sum(axis=0)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import phantom
 from .autoencoder import INITS, AEConfig
-from .diffusion import DiffusionConfig, timestep_embedding
+from .diffusion import DiffusionConfig
 from .errors import ConfigError
 from .gaussian_prior import GaussianPriorConfig
 from .progression import BELIEF_SOURCES
@@ -47,12 +47,6 @@ class CohortParams:
 @dataclass(frozen=True)
 class EvalParams:
     predict_sources: tuple[str, ...] = ("global_prior", "posterior", "regression")
-    anchor_year: float = 4.0
-    lag_years: tuple[float, ...] = (1.0, 2.0, 3.0)
-    min_span_years: float = 6.0
-    n_alphas: int = 11
-    bin_width: float = 5.0
-    bin_start: float = 60.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def _check(value, tp, path: str):
 
 # Lowest value of each count, by field name in any section; `epochs: 0` keeps the init.
 _MINIMUMS = {"n_subjects": 1, "grid_size": 1, "batch_size": 1, "hidden_width": 1,
-             "timesteps": 1, "k_samples": 1, "embed_width": 0, "epochs": 0}
+             "timesteps": 1, "k_samples": 1, "epochs": 0}
 # Allowed values of each choice, by field name in any section; a list checks each
 # item and may name each at most once.
 _CHOICES = {"init": INITS, "predict_sources": BELIEF_SOURCES}
@@ -186,10 +180,10 @@ def _check_buildable(cfg: RunConfig) -> None:
     they would refuse fails here, as a ConfigError naming it, before any work."""
     cp = cfg.cohort
     try:
-        phantom.default_spec(cp.grid_size, cp.noise_sigma)
+        phantom.validate_spec(phantom.default_spec(cp.grid_size, cp.noise_sigma))
     except ValueError as exc:
         try:  # the noise-free phantom checks the geometry alone
-            phantom.default_spec(cp.grid_size, 0.0)
+            phantom.validate_spec(phantom.default_spec(cp.grid_size, 0.0))
         except ValueError as grid_exc:
             raise ConfigError(f"cohort.grid_size: {grid_exc}") from grid_exc
         raise ConfigError(f"cohort.noise_sigma: {exc}") from exc
@@ -198,13 +192,7 @@ def _check_buildable(cfg: RunConfig) -> None:
                                   cp.diagnosis_mix, cp.split_fractions)
     except ValueError as exc:
         raise ConfigError(f"cohort.{exc}") from exc
-    for path, build, args in [
-        ("autoencoder.ssim_window", check_window,
-         (cfg.autoencoder.ssim_window, (cp.grid_size,) * 3)),
-        ("diffusion.embed_width", timestep_embedding, (0, 1, cfg.diffusion.embed_width)),
-        ("diffusion", cfg.diffusion.schedule, ()),
-    ]:
-        try:
-            build(*args)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        check_window(cfg.autoencoder.ssim_window, (cp.grid_size,) * 3)
+    except ValueError as exc:
+        raise ConfigError(f"autoencoder.ssim_window: {exc}") from exc

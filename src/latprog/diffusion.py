@@ -6,13 +6,14 @@ and averages K independent draws.  The chains of every forecast run as
 rows of one state in a single reverse loop (``sample_betas``), so each
 step makes one row-batched denoiser call (``predict_noise``); each chain
 still draws from its own seeded generator, so a row's draws do not depend
-on the other rows.  The linear noise schedule is part of the denoiser's
-config (``DiffusionConfig.schedule``), so a stored denoiser samples with
-the schedule it was trained on and a mismatched one is refused.  The chain
-operates in a standardized target space (shift/scale estimated from the
-training triplets) so the unit-Gaussian start matches the target scale; a
-raw callable passed to the sampler bypasses the standardization, which
-lets closed-form denoisers drive the exact chain.
+on the other rows.  The noise schedule is the linear one over the
+denoiser's configured ``timesteps`` (``DiffusionConfig.schedule``), so a
+stored denoiser samples with the schedule it was trained on and a
+mismatched one is refused.  The chain operates in a standardized target
+space (shift/scale estimated from the training triplets) so the
+unit-Gaussian start matches the target scale; a raw callable passed to the
+sampler bypasses the standardization, which lets closed-form denoisers
+drive the exact chain.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .progression import Triplets
 from .tensorfile import load_with_meta, save_with_meta
 
 _SCALE_FLOOR = 1e-4
+# Width of the timestep features the denoiser is conditioned on.
+EMBED_WIDTH = 16
+# Decay of the exponential moving average of the weights the sampler uses.
+EMA_DECAY = 0.99
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ def forward_noise(schedule: NoiseSchedule, beta, t, eps) -> np.ndarray:
     return np.sqrt(abar) * np.asarray(beta, dtype=np.float64) + np.sqrt(1.0 - abar) * np.asarray(eps, dtype=np.float64)
 
 
-def timestep_embedding(t, timesteps: int, width: int = 16) -> np.ndarray:
+def timestep_embedding(t, timesteps: int, width: int = EMBED_WIDTH) -> np.ndarray:
     """Sinusoidal features of t/T at geometrically spaced frequencies."""
     if width % 2 != 0:
         raise ValueError("embedding width must be even")
@@ -99,17 +104,12 @@ class DiffusionConfig:
     learning_rate: float = 1e-3
     epochs: int = 60
     batch_size: int = 32
-    ema_decay: float = 0.99
     k_samples: int = 5
-    embed_width: int = 16
     timesteps: int = 500
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    rmsprop_decay: float = 0.99
     seed: int = 0
 
     def schedule(self) -> NoiseSchedule:
-        return NoiseSchedule.linear(self.timesteps, self.beta_start, self.beta_end)
+        return NoiseSchedule.linear(self.timesteps)
 
 
 @dataclass
@@ -131,7 +131,7 @@ def _init_denoiser(
     config: DiffusionConfig, n_latent: int, shift: np.ndarray, scale: np.ndarray
 ) -> DiffusionDenoiser:
     n_beta = shift.size
-    d_in = n_beta + n_latent + 1 + config.embed_width
+    d_in = n_beta + n_latent + 1 + EMBED_WIDTH
     h = config.hidden_width
     rng = np.random.default_rng(config.seed)
     # Zero output head: the untrained denoiser predicts zero noise.
@@ -157,7 +157,7 @@ def _denoiser_features(
     """Input rows [x, latent, age, embedding of t]; ``t`` is one step for
     every row or an array of steps, one per row."""
     b = x_std.shape[0]
-    emb = timestep_embedding(t, denoiser.config.timesteps, denoiser.config.embed_width)
+    emb = timestep_embedding(t, denoiser.config.timesteps)
     return np.concatenate(
         [
             x_std.reshape(b, -1),
@@ -222,9 +222,8 @@ def loss_and_grads(
 
 
 def ema_update(denoiser: DiffusionDenoiser) -> None:
-    d = denoiser.config.ema_decay
     for k, v in denoiser.params.items():
-        denoiser.ema_params[k] = d * denoiser.ema_params[k] + (1.0 - d) * v
+        denoiser.ema_params[k] = EMA_DECAY * denoiser.ema_params[k] + (1.0 - EMA_DECAY) * v
 
 
 def destandardize_target(denoiser: DiffusionDenoiser, x_std) -> np.ndarray:

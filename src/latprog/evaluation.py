@@ -327,17 +327,17 @@ def _nearest_scan(ages: np.ndarray, target_age: float, candidates) -> int:
     return min(candidates, key=lambda i: abs(ages[i] - target_age))
 
 
-def multiscan_curve(
-    ages: dict[str, np.ndarray],
-    *,
-    anchor_year: float = 4.0,
-    lag_years: tuple[float, ...] = (1.0, 2.0, 3.0),
-    min_span_years: float = 6.0,
-) -> list[Case]:
+# The multi-scan protocol's years, counted from a subject's first scan.
+ANCHOR_YEAR = 4.0
+LAG_YEARS = (1.0, 2.0, 3.0)
+MIN_SPAN_YEARS = 6.0
+
+
+def multiscan_curve(ages: dict[str, np.ndarray]) -> list[Case]:
     """Forecasts as intermediate scans are added to the belief.
 
-    Protocol per eligible subject (scan span >= min_span_years): the scan
-    nearest first + anchor_year anchors every extrapolation; the belief at
+    Protocol per eligible subject (scan span >= MIN_SPAN_YEARS): the scan
+    nearest first + ANCHOR_YEAR anchors every extrapolation; the belief at
     n = 0 is the global prior, and at n >= 1 the posterior conditioned on
     the scans nearest first + 1, 2, ... years, with the likelihood anchored
     at the first scan (the global prior's one conditioning scan).  Regression
@@ -348,13 +348,13 @@ def multiscan_curve(
     cases: list[Case] = []
     for sid, a in ages.items():
         n_scans = len(a)
-        if n_scans < 2 or a[-1] - a[0] < min_span_years:
+        if n_scans < 2 or a[-1] - a[0] < MIN_SPAN_YEARS:
             continue
-        anchor = _nearest_scan(a, a[0] + anchor_year, range(1, n_scans))
-        if anchor - 1 < len(lag_years) or anchor == n_scans - 1:
+        anchor = _nearest_scan(a, a[0] + ANCHOR_YEAR, range(1, n_scans))
+        if anchor - 1 < len(LAG_YEARS) or anchor == n_scans - 1:
             continue  # too few scans between first and anchor, or no target
         lags: list[int] = []
-        for lag in lag_years:
+        for lag in LAG_YEARS:
             lags.append(_nearest_scan(a, a[0] + lag, [i for i in range(1, anchor) if i not in lags]))
         beliefs = [("global_prior", 0, (0,))]
         beliefs += [("posterior", n, (0, *sorted(lags[:n]))) for n in range(1, len(lags) + 1)]

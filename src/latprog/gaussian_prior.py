@@ -19,6 +19,8 @@ from .tensorfile import load_with_meta, save_with_meta
 
 AGE_CENTER = 70.0
 AGE_SCALE = 15.0
+# Weight of the Gaussian negative log-likelihood next to the absolute error.
+NLL_WEIGHT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,6 @@ class GaussianPriorConfig:
     learning_rate: float = 1e-3
     epochs: int = 150
     batch_size: int = 32
-    nll_weight: float = 1e-3
-    rmsprop_decay: float = 0.99
     seed: int = 0
 
 
@@ -89,12 +89,11 @@ def loss_and_grads(
 
     diff = beta - mu
     inv_var = np.exp(-lv)
-    w = net.config.nll_weight
     n = beta.size
-    loss = float(np.mean(np.abs(diff) + w * (diff * diff * inv_var + lv)))
+    loss = float(np.mean(np.abs(diff) + NLL_WEIGHT * (diff * diff * inv_var + lv)))
 
-    d_mu = (np.sign(mu - beta) + w * 2.0 * (mu - beta) * inv_var) / n
-    d_lv = w * (1.0 - diff * diff * inv_var) / n
+    d_mu = (np.sign(mu - beta) + NLL_WEIGHT * 2.0 * (mu - beta) * inv_var) / n
+    d_lv = NLL_WEIGHT * (1.0 - diff * diff * inv_var) / n
 
     grads = {
         "w_mean": d_mu.T @ h,

@@ -9,6 +9,8 @@ import numpy as np
 
 # Elements per block: the temporaries stay cache-sized, not parameter-sized.
 BLOCK_ELEMENTS = 1 << 16
+# Decay of the running mean of squared gradients, for every trained model.
+RMSPROP_DECAY = 0.99
 
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -43,12 +45,13 @@ def train(params: dict[str, np.ndarray], n: int, config,
           after_step: Callable[[], None] | None = None) -> list[float]:
     """Minibatch RMSProp over ``n`` examples; returns the per-epoch mean losses.
 
-    Reads ``epochs``, ``batch_size``, ``learning_rate``, ``rmsprop_decay`` and
-    ``seed`` from ``config``.  Each epoch draws a permutation of the examples
-    from ``default_rng(config.seed)``; ``step(idx, rng)`` gets the batch's
-    indices and that same generator, so any draws it makes follow the
-    permutation in one stream, and returns ``(loss, grads)``.  ``after_step``
-    runs after each update.  Raises on a non-finite loss.
+    Reads ``epochs``, ``batch_size``, ``learning_rate`` and ``seed`` from
+    ``config``; the decay is ``RMSPROP_DECAY``.  Each epoch draws a
+    permutation of the examples from ``default_rng(config.seed)``;
+    ``step(idx, rng)`` gets the batch's indices and that same generator, so
+    any draws it makes follow the permutation in one stream, and returns
+    ``(loss, grads)``.  ``after_step`` runs after each update.  Raises on a
+    non-finite loss.
     """
     rng = np.random.default_rng(config.seed)
     state = {k: np.zeros_like(p) for k, p in params.items()}
@@ -61,7 +64,7 @@ def train(params: dict[str, np.ndarray], n: int, config,
             loss, grads = step(order[start : start + config.batch_size], rng)
             if not np.isfinite(loss):
                 raise RuntimeError("training diverged: non-finite loss")
-            rmsprop_step(params, grads, state, config.learning_rate, config.rmsprop_decay)
+            rmsprop_step(params, grads, state, config.learning_rate, RMSPROP_DECAY)
             del grads  # not alive while the next step's gradients are built
             if after_step is not None:
                 after_step()

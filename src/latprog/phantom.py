@@ -161,7 +161,8 @@ def default_spec(grid_size: int = 32, noise_sigma: float = 0.005) -> PhantomSpec
     relative volume change per year is grid-independent.  Centers sit off the
     lattice symmetry points and radii are pairwise unequal: a symmetric
     phantom flips whole rings of voxels at once as it scales, which wrecks
-    the linearity of voxel counts in age.
+    the linearity of voxel counts in age.  The spec is not validated here:
+    ``generate_cohort`` validates the spec it is given.
     """
     s = grid_size / 32.0
     c = (grid_size - 1) / 2.0
@@ -187,9 +188,7 @@ def default_spec(grid_size: int = 32, noise_sigma: float = 0.005) -> PhantomSpec
                        2.35 * s),
                    intensity=1.00, volume_rate=-0.9 * v),
     )
-    spec = PhantomSpec(grid_size=grid_size, regions=regions, noise_sigma=noise_sigma)
-    validate_spec(spec)
-    return spec
+    return PhantomSpec(grid_size=grid_size, regions=regions, noise_sigma=noise_sigma)
 
 
 def _grid_coords(box) -> tuple[np.ndarray, ...]:

@@ -274,15 +274,12 @@ def _load_beliefs(out: Path, cfg: RunConfig) -> dict:
 def _cases(cfg: RunConfig, sequences) -> list[evaluation.Case]:
     """The subjects' last-scan cases for the configured sources, then, when a
     population-prior source is configured, their multi-scan cases."""
-    ev = cfg.evaluation
+    sources = cfg.evaluation.predict_sources
     ages = {seq.subject_id: seq.ages for seq in sequences}
-    cases = evaluation.last_scan(ages, ev.predict_sources)
-    if set(GLOBAL_PRIOR_SOURCES) & set(ev.predict_sources):
+    cases = evaluation.last_scan(ages, sources)
+    if set(GLOBAL_PRIOR_SOURCES) & set(sources):
         try:
-            cases += evaluation.multiscan_curve(
-                ages, anchor_year=ev.anchor_year, lag_years=ev.lag_years,
-                min_span_years=ev.min_span_years,
-            )
+            cases += evaluation.multiscan_curve(ages)
         except ValueError:
             pass  # no subject spans the protocol
     return cases
@@ -366,8 +363,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
     interpolated = next((seq for seq in test_seqs if len(seq.ages) >= 2), None)
     if interpolated is not None:
         report = evaluation.interpolation_linearity(
-            model, interpolated.latents[-1], interpolated.latents[0], spec,
-            cfg.evaluation.n_alphas,
+            model, interpolated.latents[-1], interpolated.latents[0], spec
         )
         write_csv(
             out / "metrics" / "interpolation.csv",
@@ -415,9 +411,7 @@ def stage_analyze_beta(cfg: RunConfig, out: Path) -> None:
         (beta_tensors[sid], subjects[sid].diagnosis, min(subjects[sid].ages()))
         for sid in sorted(beta_tensors)
     ]
-    table = evaluation.beta_norm_analysis(
-        entries, bin_width=cfg.evaluation.bin_width, bin_start=cfg.evaluation.bin_start
-    )
+    table = evaluation.beta_norm_analysis(entries)
     cells = [(diag, "all", table.overall[diag]) for diag in sorted(table.overall)]
     cells += [(diag, label, table.cells[(diag, label)]) for diag, label in sorted(table.cells)]
     write_csv(

@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from latprog.autoencoder import (
+    GAMMA_KL,
     LATENT_DIM,
+    SSIM_WEIGHT,
     AEConfig,
     decode,
     encode,
@@ -102,10 +104,10 @@ def test_loss_matches_scalar_recomputation(tiny_model, rng):
     l1 = np.abs(x - x_hat).mean()
     ssim_term = 1.0 - oracles.ssim_reference(x, x_hat, cfg.ssim_window)
     kl = oracles.kl_reference(dist.mean, dist.log_variance)
-    want = l1 + cfg.ssim_weight * ssim_term + cfg.gamma_kl * kl
+    want = l1 + SSIM_WEIGHT * ssim_term + GAMMA_KL * kl
     assert terms.total == pytest.approx(want, abs=1e-6)
     assert terms.total == pytest.approx(
-        terms.l1 + cfg.ssim_weight * terms.ssim + cfg.gamma_kl * terms.kl, rel=1e-12
+        terms.l1 + SSIM_WEIGHT * terms.ssim + GAMMA_KL * terms.kl, rel=1e-12
     )
 
 

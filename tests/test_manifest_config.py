@@ -201,7 +201,8 @@ def test_values_checked_against_annotations():
         ({"autoencoder": {"sample_latent": 1}}, "autoencoder.sample_latent must be a boolean"),
         ({"autoencoder": {"init": None}}, "autoencoder.init must be a string"),
         ({"cohort": {"scans_per_subject": [2, 3, 4]}}, "must have 2 items"),
-        ({"evaluation": {"lag_years": [1, "2"]}}, r"evaluation.lag_years\[1\] must be a number"),
+        ({"evaluation": {"predict_sources": ["posterior", 2]}},
+         r"evaluation.predict_sources\[1\] must be a string, got 2"),
         ({"cohort": {"diagnosis_mix": {"mci": "x"}}}, "cohort.diagnosis_mix.mci must be a number"),
         ({"evaluation": {"predict_sources": ["posterior", "regression", "posterior"]}},
          "evaluation.predict_sources: 'posterior' is named twice"),
@@ -222,7 +223,6 @@ def test_values_checked_against_annotations():
     ("diffusion", "hidden_width", 1),
     ("diffusion", "epochs", 0),
     ("diffusion", "k_samples", 1),
-    ("diffusion", "embed_width", 0),
     ("diffusion", "timesteps", 1),
 ])
 def test_counts_below_their_minimum_rejected(section, key, minimum):
@@ -267,9 +267,40 @@ def test_to_dict_contains_all_sections():
         "diffusion", "evaluation",
     }
     assert d["cohort"]["grid_size"] == 32
-    # the noise schedule is the denoiser's own
-    schedule = {k: d["diffusion"][k] for k in ("timesteps", "beta_start", "beta_end")}
-    assert schedule == {"timesteps": 500, "beta_start": 1e-4, "beta_end": 0.02}
+    # the noise schedule is the denoiser's own: linear over its timesteps
+    assert d["diffusion"]["timesteps"] == 500
+    betas = RunConfig().diffusion.schedule().betas
+    assert betas.tobytes() == np.concatenate([[0.0], np.linspace(1e-4, 0.02, 500)]).tobytes()
+
+
+# Every value a config file may set.  Each is set by a workload or by tests
+# that need small, fast runs; a new one is added here in plain view.
+SETTABLE_KEYS = [
+    "seed",
+    "cohort.n_subjects", "cohort.grid_size", "cohort.noise_sigma",
+    "cohort.scans_per_subject", "cohort.age_spacing", "cohort.baseline_age_range",
+    "cohort.diagnosis_mix", "cohort.split_fractions",
+    "autoencoder.ssim_window", "autoencoder.learning_rate", "autoencoder.epochs",
+    "autoencoder.batch_size", "autoencoder.init", "autoencoder.sample_latent",
+    "autoencoder.seed",
+    "gaussian_prior.hidden_width", "gaussian_prior.learning_rate", "gaussian_prior.epochs",
+    "gaussian_prior.batch_size", "gaussian_prior.seed",
+    "diffusion.hidden_width", "diffusion.learning_rate", "diffusion.epochs",
+    "diffusion.batch_size", "diffusion.k_samples", "diffusion.timesteps", "diffusion.seed",
+    "evaluation.predict_sources",
+]
+
+
+def test_settable_keys_are_the_listed_ones():
+    cfg = RunConfig()
+    keys = []
+    for top in dataclasses.fields(cfg):
+        value = getattr(cfg, top.name)
+        if dataclasses.is_dataclass(value):
+            keys += [f"{top.name}.{f.name}" for f in dataclasses.fields(value)]
+        else:
+            keys.append(top.name)
+    assert sorted(keys) == sorted(SETTABLE_KEYS)
 
 
 def test_load_config_file_roundtrip(tmp_path):

@@ -101,7 +101,7 @@ TARGETS = np.linspace(1.0, 2.0, 10)
 
 
 def _config(**kw):
-    base = dict(epochs=3, batch_size=4, learning_rate=0.05, rmsprop_decay=0.9, seed=5)
+    base = dict(epochs=3, batch_size=4, learning_rate=0.05, seed=5)
     base.update(kw)
     return SimpleNamespace(**base)
 

@@ -204,7 +204,7 @@ def test_render_rejects_out_of_range_ages(spec32):
 def test_small_grid_geometry_overflows():
     # the default geometry needs headroom; 16 voxels is below the floor
     with pytest.raises(ValueError, match="geometry overflow"):
-        default_spec(grid_size=16)
+        validate_spec(default_spec(grid_size=16))
 
 
 def test_region_counts_linear_in_age():

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from latprog import diffusion, pipeline
+from latprog import diffusion, phantom, pipeline
 from latprog.autoencoder import decode, load_model
 from latprog.cli import main
 from latprog.config import SEED_OFFSETS, load_config
@@ -253,6 +253,23 @@ def test_latents_cover_every_scan(chain_run):
     assert read_tensors(out / "latents/latents.mrxt").keys() == scans
 
 
+def test_generate_cohort_validates_the_phantom_at_most_twice(tmp_path, monkeypatch):
+    """Once as the config loads and once in generate_cohort: the stage does
+    not validate again the phantom it builds from a checked config."""
+    calls = []
+    validate = phantom.validate_spec
+
+    def counting(spec):
+        calls.append(spec)
+        validate(spec)
+
+    monkeypatch.setattr(phantom, "validate_spec", counting)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"cohort": {"n_subjects": 1, "scans_per_subject": [1, 1]}}))
+    assert main(["generate-cohort", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert 1 <= len(calls) <= 2
+
+
 def test_predict_names_missing_stage(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(MINI_CONFIG))
@@ -411,7 +428,7 @@ def test_predict_samples_with_the_schedule_the_denoiser_was_trained_with(
     first = all_sources_run[0]
     out = tmp_path / "out"
     shutil.copytree(first, out)
-    diffusion = {**ALL_SOURCES_CONFIG["diffusion"], "beta_end": 0.05}
+    diffusion = {**ALL_SOURCES_CONFIG["diffusion"], "timesteps": 40}
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({**ALL_SOURCES_CONFIG, "diffusion": diffusion}))
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -599,12 +616,11 @@ def test_lock_of_a_dead_process_is_broken(tmp_path, caplog):
     ("ae/model.json", "train-ae", "encode", "regression", None),
     ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", None),
     ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", None),
-    ("ae/model.json", "train-ae", "encode", "regression", ("gamma_kl",)),
-    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", ("nll_weight",)),
-    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", ("ema_decay",)),
-    # a denoiser saved with its noise schedule outside its config
-    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion",
-     ("beta_end", "beta_start", "timesteps")),
+    ("ae/model.json", "train-ae", "encode", "regression", ("ssim_window",)),
+    ("priors/gaussian_net.json", "fit-gaussian-prior", "predict", "gaussian_net", ("hidden_width",)),
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", ("k_samples",)),
+    # a denoiser saved without the length of its noise schedule
+    ("priors/diffusion.json", "fit-diffusion-prior", "predict", "diffusion", ("timesteps",)),
 ], ids=["autoencoder", "gaussian-prior", "diffusion-prior",
         "autoencoder-missing-key", "gaussian-prior-missing-key", "diffusion-prior-missing-key",
         "diffusion-prior-missing-schedule"])
@@ -648,6 +664,26 @@ def test_unknown_config_key_reported(tmp_path, capsys):
     assert "unknown config key: autoencoder.bogus" in err
 
 
+# Former config keys that are module constants now, each with a value to set
+# it to; the rows below cover embed_width, beta_start and beta_end.  While
+# they were keys, n_alphas 0 crashed evaluate and bin_width 0 analyze-beta.
+REMOVED_KEYS = [
+    ("autoencoder", "gamma_kl", 1e-5),
+    ("autoencoder", "ssim_weight", 1.0),
+    ("autoencoder", "rmsprop_decay", 0.99),
+    ("gaussian_prior", "nll_weight", 1e-3),
+    ("gaussian_prior", "rmsprop_decay", 0.99),
+    ("diffusion", "ema_decay", 0.99),
+    ("diffusion", "rmsprop_decay", 0.99),
+    ("evaluation", "anchor_year", 4.0),
+    ("evaluation", "lag_years", [1, 2, 3]),
+    ("evaluation", "min_span_years", 6.0),
+    ("evaluation", "n_alphas", 0),
+    ("evaluation", "bin_width", 0),
+    ("evaluation", "bin_start", 60.0),
+]
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"cohort": {"n_subjects": "4"}}, "error: cohort.n_subjects must be an integer, got '4'"),
     ({"cohort": {"grid_size": 16}}, "error: cohort.grid_size: geometry overflow"),
@@ -660,11 +696,13 @@ def test_unknown_config_key_reported(tmp_path, capsys):
     ({"autoencoder": {"ssim_window": 1}}, "error: autoencoder.ssim_window: window must be odd"),
     ({"cohort": {"grid_size": 20}, "autoencoder": {"ssim_window": 21}},
      "error: autoencoder.ssim_window: window 21 larger than volume (20, 20, 20)"),
-    ({"diffusion": {"embed_width": 5}}, "error: diffusion.embed_width: embedding width must be even"),
-    ({"diffusion": {"embed_width": -2}}, "error: diffusion.embed_width must be at least 0"),
-    ({"diffusion": {"beta_end": 1.5}}, "error: diffusion: invalid schedule: step betas"),
-    ({"diffusion": {"beta_start": 0.0}}, "error: diffusion: invalid schedule: step betas"),
-    ({"diffusion": {"beta_start": 0.05}}, "error: diffusion: invalid schedule: betas must be non-decreasing"),
+    # the embedding width and the schedule's betas are constants, not keys
+    ({"diffusion": {"embed_width": 5}}, "error: unknown config key: diffusion.embed_width"),
+    ({"diffusion": {"embed_width": -2}}, "error: unknown config key: diffusion.embed_width"),
+    ({"diffusion": {"beta_end": 1.5}}, "error: unknown config key: diffusion.beta_end"),
+    ({"diffusion": {"beta_start": 0.0}}, "error: unknown config key: diffusion.beta_start"),
+    ({"diffusion": {"beta_start": 0.05}}, "error: unknown config key: diffusion.beta_start"),
+    ({"diffusion": {"timesteps": 0}}, "error: diffusion.timesteps must be at least 1, got 0"),
     ({"evaluation": {"predict_sources": ["global_prior", "oracle"]}},
      "error: evaluation.predict_sources: 'oracle' is not one of"),
     ({"cohort": {"baseline_age_range": [40, 50]}},
@@ -683,12 +721,16 @@ def test_unknown_config_key_reported(tmp_path, capsys):
      "error: cohort.diagnosis_mix: {'healthy': 0.5} must be >= 0 and sum to 1"),
     ({"cohort": {"diagnosis_mix": {"healthy": 1.0, "dementa": 0.5}}},
      "error: cohort.diagnosis_mix: unknown diagnosis 'dementa'"),
+] + [
+    ({section: {key: value}}, f"error: unknown config key: {section}.{key}")
+    for section, key, value in REMOVED_KEYS
 ], ids=["wrong-type", "grid-16", "noise-0.1", "negative-noise", "grid-16-noise-0.1",
         "mlp", "init-kaiming", "even-window", "window-1", "window-above-grid", "odd-embed-width",
         "negative-embed-width", "beta-end-1.5", "beta-start-0", "beta-start-above-end",
-        "unknown-source", "baseline-below-age-min", "oldest-scan-past-age-max",
-        "scans-low-above-high", "zero-scans", "negative-spacing", "split-above-one",
-        "mix-below-one", "mix-unknown-diagnosis"])
+        "zero-timesteps", "unknown-source", "baseline-below-age-min",
+        "oldest-scan-past-age-max", "scans-low-above-high", "zero-scans", "negative-spacing",
+        "split-above-one", "mix-below-one", "mix-unknown-diagnosis",
+        *(f"removed-{section}.{key}" for section, key, _ in REMOVED_KEYS)])
 def test_bad_config_value_rejected_before_any_work(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from latprog import gaussian_prior
 from latprog.diffusion import (
+    EMA_DECAY,
     DiffusionConfig,
     DiffusionDenoiser,
     NoiseSchedule,
@@ -23,6 +25,7 @@ from latprog.diffusion import (
 )
 from latprog.diffusion import loss_and_grads as diffusion_loss_and_grads
 from latprog.gaussian_prior import (
+    NLL_WEIGHT,
     GaussianPriorConfig,
     _init_net,
     load_gaussian_prior,
@@ -61,9 +64,9 @@ def make_triplets(n, seed, beta_fn=None):
 # ------------------------------------------------------------ gaussian loss
 
 
-def gaussian_loss(mu, lv, betas, nll_weight=1e-3):
+def gaussian_loss(mu, lv, betas):
     """The training loss of a net whose zero output heads predict (mu, lv) for any input."""
-    net = _init_net(GaussianPriorConfig(hidden_width=4, nll_weight=nll_weight), 3, mu, lv)
+    net = _init_net(GaussianPriorConfig(hidden_width=4), 3, mu, lv)
     latents = np.random.default_rng(0).normal(0.0, 1.0, (len(betas), 3))
     return loss_and_grads(net, latents, np.full(len(betas), 70.0), betas)[0]
 
@@ -74,22 +77,23 @@ def test_gaussian_loss_zero_at_exact_fit():
 
 
 def test_gaussian_loss_unit_error_unit_variance():
-    # |mu - beta| = 1 with log var 0 costs 1 + w per element
+    # |mu - beta| = 1 with log var 0 costs 1 + NLL_WEIGHT per element
     mu = np.zeros(5)
     beta = np.ones((3, 5))
-    w = 1e-3
-    assert gaussian_loss(mu, np.zeros_like(mu), beta, w) == pytest.approx(1.0 + w, rel=1e-12)
+    want = 1.0 + NLL_WEIGHT
+    assert gaussian_loss(mu, np.zeros_like(mu), beta) == pytest.approx(want, rel=1e-12)
 
 
-def test_gaussian_loss_matches_reference():
+def test_gaussian_loss_matches_reference(monkeypatch):
     rng = np.random.default_rng(3)
     mu = rng.normal(0.0, 1.0, DIM)
     lv = rng.normal(0.0, 0.5, DIM)
     beta = rng.normal(0.0, 1.0, (6, DIM))
     rows = [np.broadcast_to(v, beta.shape) for v in (mu, lv)]
-    for w in (0.0, 1e-3, 0.5):
+    for w in (0.0, NLL_WEIGHT, 0.5):
+        monkeypatch.setattr(gaussian_prior, "NLL_WEIGHT", w)
         expect = oracles.gaussian_prior_loss_reference(*rows, beta, w)
-        assert gaussian_loss(mu, lv, beta, w) == pytest.approx(expect, rel=1e-12)
+        assert gaussian_loss(mu, lv, beta) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gaussian_loss_input_validation():
@@ -468,9 +472,8 @@ def test_ema_update_formula():
         den.params[k] = np.full_like(den.params[k], 2.0)
         den.ema_params[k] = np.zeros_like(den.ema_params[k])
     ema_update(den)
-    d = den.config.ema_decay
     for k in den.params:
-        np.testing.assert_allclose(den.ema_params[k], (1.0 - d) * 2.0, rtol=1e-12)
+        np.testing.assert_allclose(den.ema_params[k], (1.0 - EMA_DECAY) * 2.0, rtol=1e-12)
 
 
 def test_diffusion_gradients_match_finite_differences():
