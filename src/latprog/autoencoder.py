@@ -88,22 +88,33 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def principal_components(x: np.ndarray, k: int):
-    """Top ``k`` principal components of the rows of ``x`` (n, d).
+def principal_components(rows, k: int):
+    """Top ``k`` principal components of ``rows``: n arrays of d values each,
+    every one read flat as a row, such as the rows of an (n, d) matrix or n
+    volumes of any float dtype.
 
     Returns ``(mean, centered, components, variances)``: the mean row, the
     rows minus it, the components as ``k`` orthonormal rows of length d in
     descending order of variance, signs fixed by ``_fix_signs``, and their
-    squared singular values.  They come from ``eigh`` of the n x n Gram
-    matrix of the centered rows, not from a thin SVD of the n x d matrix:
-    each component is ``v_i^T centered / sqrt(w_i)`` for an eigenpair
-    ``(w_i, v_i)``.  Eigenvalues at or below ``w_max * max(n, d) * eps`` are
-    rank deficiency: their rows stay zero with variance 0, as do the rows
-    past n when ``k > n``.
+    squared singular values.  The rows are added one at a time into a
+    float64 mean, the order ``mean(axis=0)`` of their float64 stack uses, and
+    each row minus the mean is written into the one (n, d) float64 matrix
+    built, ``centered``: the rows are never stacked or copied whole.  The
+    components come from ``eigh`` of the n x n Gram matrix of the centered
+    rows, not from a thin SVD of the n x d matrix: each component is
+    ``v_i^T centered / sqrt(w_i)`` for an eigenpair ``(w_i, v_i)``.
+    Eigenvalues at or below ``w_max * max(n, d) * eps`` are rank deficiency:
+    their rows stay zero with variance 0, as do the rows past n when
+    ``k > n``.
     """
-    n, d = x.shape
-    mean = x.mean(axis=0)
-    centered = x - mean
+    n, d = len(rows), np.size(rows[0])
+    mean = np.array(np.ravel(rows[0]), dtype=np.float64)
+    for row in rows[1:]:
+        mean += np.ravel(row)
+    mean /= n
+    centered = np.empty((n, d))
+    for i, row in enumerate(rows):
+        np.subtract(np.ravel(row), mean, out=centered[i])
     w, v = np.linalg.eigh(centered @ centered.T)
     w, v = w[::-1][:k], v[:, ::-1][:, :k]
     rank = int(np.count_nonzero(w > w[0] * max(n, d) * np.finfo(np.float64).eps))
@@ -117,15 +128,17 @@ def principal_components(x: np.ndarray, k: int):
 def init_model(
     config: AEConfig,
     input_shape: tuple[int, int, int],
-    train_volumes: np.ndarray | None = None,
+    train_volumes=None,
 ) -> AEModel:
     """Build an untrained model.
 
     ``init="pca"`` seeds the affine maps with principal components of the
     training volumes, which starts training from a strong least-squares
-    reconstruction; it requires ``train_volumes``.  The components come from
-    ``eigh`` of the n x n Gram matrix of the n centered volumes, not from a
-    thin SVD of the n x d volume matrix (``principal_components``).  A
+    reconstruction; it requires ``train_volumes``, n volumes of
+    ``input_shape`` as a list or a stacked array of any float dtype, which
+    are passed to ``principal_components`` as they are, with no float64
+    copy.  The components come from ``eigh`` of the n x n Gram matrix of the
+    n centered volumes, not from a thin SVD of the n x d volume matrix.  A
     component whose eigenvalue is at or below ``w_max * max(n, d) * eps`` is
     rank deficiency: its row stays zero, so fewer than ``LATENT_DIM + 1``
     volumes, which span fewer than ``LATENT_DIM`` directions about their
@@ -153,8 +166,7 @@ def init_model(
     elif config.init == "pca":
         if train_volumes is None:
             raise ValueError("init='pca' needs training volumes")
-        x = np.asarray(train_volumes, dtype=np.float64).reshape(len(train_volumes), d)
-        mean, _, comps, _ = principal_components(x, n_lat)
+        mean, _, comps, _ = principal_components(train_volumes, n_lat)
         w_mean = comps
         b_mean = -comps @ mean
         dec_w = comps.T
@@ -263,23 +275,33 @@ def loss_and_grads(
 
 
 def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
-    """Train on a stack of volumes.
+    """Train on a sequence of equal-shape volumes.
 
+    The volumes are held as given, float32 as read from a cohort, and never
+    stacked whole: each minibatch is stacked from its own volumes, and
+    ``loss_and_grads`` upcasts it to float64, which is exact, so the model
+    is bit-identical to one trained on float64 copies.  A volume whose shape
+    differs from the first one's raises ValueError before any work.
     Momentum-free adaptive steps (RMSProp); deterministic given config.seed.
     Raises on divergence.  The returned model records per-epoch mean loss.
     """
     vols = list(train_volumes)
     if not vols:
         raise ValueError("no training volumes")
-    x = np.stack([np.asarray(v, dtype=np.float64) for v in vols])
-    model = init_model(config, x.shape[1:], train_volumes=x)
+    shape = np.shape(vols[0])
+    for i, v in enumerate(vols):
+        if np.shape(v) != shape:
+            raise ValueError(
+                f"training volume {i} has shape {np.shape(v)}, not the {shape} of volume 0"
+            )
+    model = init_model(config, shape, train_volumes=vols)
 
     def step(idx, rng):
         eps = rng.standard_normal((len(idx), model.n_latent)) if config.sample_latent else None
-        terms, grads = loss_and_grads(model, x[idx], eps)
+        terms, grads = loss_and_grads(model, np.stack([vols[i] for i in idx]), eps)
         return terms.total, grads
 
-    model.loss_curve = optim.train(model.params, len(x), config, step)
+    model.loss_curve = optim.train(model.params, len(vols), config, step)
     return model
 
 

@@ -40,8 +40,17 @@ from .progression import (
     extrapolate,
     resolve_beta,
 )
-from .stages import FORECASTS, GLOBAL_PRIOR_SOURCES, LATENTS, MANIFEST, PREDICTIONS, STAGES, producer
-from .tensorfile import read_tensors, write_json, write_tensors
+from .stages import (
+    FORECASTS,
+    GLOBAL_PRIOR_SOURCES,
+    LATENTS,
+    MANIFEST,
+    PREDICTIONS,
+    STAGES,
+    VOLUMES,
+    producer,
+)
+from .tensorfile import iter_tensors, read_tensors, write_json, write_tensors
 
 log = logging.getLogger(__name__)
 
@@ -200,14 +209,22 @@ def _latent_sequences(out: Path, split=None) -> list[LatentSequence]:
 
 
 def stage_encode(cfg: RunConfig, out: Path) -> None:
+    """Encode each cohort volume as it is read, never holding the whole cohort.
+
+    A volumes container whose keys are not exactly the manifest's
+    ``<subject_id>/<scan index>`` set raises MissingDependencyError naming
+    generate-cohort.  The latents are written in manifest order.
+    """
     model = _load_model(out)
-    cohort = load_cohort(out / "cohort")
-    named = {
-        f"{subject.subject_id}/{idx}": encode(model, scan.volume).mean
-        for subject in cohort.subjects
-        for idx, scan in enumerate(subject.scans)
-    }
-    write_tensors(out / LATENTS, named)
+    subjects = load_subjects(out / "cohort")
+    scans = [f"{s.subject_id}/{i}" for s in subjects for i in range(len(s.scans))]
+    means = {name: encode(model, volume).mean for name, volume in iter_tensors(out / VOLUMES)}
+    if means.keys() != set(scans):
+        raise MissingDependencyError(
+            producer(VOLUMES), f"{VOLUMES} was written for another cohort: its "
+            f"{len(means)} scans are not the {len(scans)} of {MANIFEST}"
+        )
+    write_tensors(out / LATENTS, {name: means[name] for name in scans})
 
 
 def stage_fit_betas(cfg: RunConfig, out: Path) -> None:

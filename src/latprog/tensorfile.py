@@ -17,7 +17,8 @@ above.
 
 Both kinds are streamed entry by entry through the open file, so reading or
 writing a container holds its tensors but never a second copy of its bytes;
-a container read can take some of its entries by name and seek past the rest.
+a container read can take some of its entries by name and seek past the rest,
+and :func:`iter_tensors` hands them over one at a time.
 A write goes to a temporary file beside the target and replaces it only when
 complete: an interrupted write leaves the previous file as it was.  JSON
 files (:func:`write_json`) and the CSVs of ``evaluation.write_csv`` are
@@ -169,18 +170,21 @@ def write_tensors(path: str | Path, named: dict[str, np.ndarray]) -> None:
             _write_tensor_body(fh, array)
 
 
-def read_tensors(path: str | Path, keys=None) -> dict[str, np.ndarray]:
-    """Read a named-tensor container written by :func:`write_tensors`.
+def iter_tensors(path: str | Path, keys=None):
+    """The entries of a named-tensor container written by :func:`write_tensors`,
+    read one at a time: ``(name, tensor)`` pairs in file order.
 
-    With ``keys``, only the entries so named are read, in file order; the
-    payloads of the others are seeked past.  Every entry's header is still
-    read and checked, so a duplicate name, a payload cut short anywhere or
-    trailing bytes raise as in a full read.  A key the container lacks is
-    absent from the result: the caller decides what that means.
+    Each tensor is read when its pair is drawn, so a caller that drops it
+    before drawing the next holds one entry at a time.  With ``keys``, only
+    the entries so named are yielded; the payloads of the others are seeked
+    past.  Every entry's header is still read and checked, so a duplicate
+    name, a payload cut short anywhere or trailing bytes raise as in a full
+    read: when the pass reaches them, after the entries before them have
+    been yielded.  A key the container lacks is never yielded: the caller
+    decides what that means.
     """
     wanted = None if keys is None else set(keys)
     seen: set[str] = set()
-    out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         r = _Reader(fh, str(path))
         if _read_header(r) != _CONTAINER_SENTINEL:
@@ -197,9 +201,16 @@ def read_tensors(path: str | Path, keys=None) -> dict[str, np.ndarray]:
             (dtype_code,) = r.take(1)
             tensor = _read_tensor_body(r, dtype_code, keep=wanted is None or name in wanted)
             if tensor is not None:
-                out[name] = tensor
+                yield name, tensor
         r.done()
-    return out
+
+
+def read_tensors(path: str | Path, keys=None) -> dict[str, np.ndarray]:
+    """Every entry of a named-tensor container, or with ``keys`` only those
+    so named, by name in file order: :func:`iter_tensors` run to its end, so
+    the same checks raise.
+    """
+    return dict(iter_tensors(path, keys))
 
 
 def canonical_json(obj) -> str:

@@ -1,5 +1,7 @@
 """Encoder/decoder mechanics, the composite loss, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,18 @@ def test_pca_variances_match_svd_oracle(rng):
     np.testing.assert_allclose(centered, x - mean, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(40, 512), (600, 64)], ids=["n<d", "n>d"])
+def test_pca_of_float32_rows_is_that_of_their_float64_stack(shape, rng):
+    rows = list(rng.normal(0.5, 1.0, shape).astype(np.float32))
+    x = np.stack(rows).astype(np.float64)
+    got = principal_components(rows, LATENT_DIM)
+    want = principal_components(x, LATENT_DIM)
+    assert np.array_equal(got[0], x.mean(axis=0))
+    assert np.array_equal(got[1], x - x.mean(axis=0))
+    for name, a, b in zip(("mean", "centered", "components", "variances"), got, want):
+        assert a.dtype == np.float64 and np.array_equal(a, b), name
+
+
 def test_pca_init_leaves_rows_past_the_rank_zero(rng):
     # 3 volumes span rank 2 after centering: 2 components, LATENT_DIM - 2 zero rows
     vols = np.stack(smooth_volumes(rng, 3))
@@ -258,6 +272,48 @@ def test_pca_init_leaves_rows_past_the_rank_zero(rng):
     assert_rows_match_up_to_sign(rows[:2], ref[:2], atol=1e-10)
     assert not rows[2:].any()
     assert not model.params["enc_b_mean"][2:].any()
+
+
+@pytest.mark.parametrize("init", ["pca", "random"])
+def test_float32_volumes_train_bit_identical_to_float64(init, rng):
+    vols = [v.astype(np.float32) for v in smooth_volumes(rng, 5)]
+    cfg = AEConfig(init=init, epochs=2, learning_rate=1e-3, batch_size=2, seed=5)
+    single = train_autoencoder(vols, cfg)
+    double = train_autoencoder([v.astype(np.float64) for v in vols], cfg)
+    assert single.loss_curve == double.loss_curve
+    for name, p in double.params.items():
+        assert np.array_equal(single.params[name], p), name
+
+
+@pytest.mark.parametrize("init", ["pca", "random"])
+def test_unequal_volume_shapes_refused_before_any_work(init, rng, monkeypatch):
+    vols = smooth_volumes(rng, 3)
+    vols.insert(2, rng.random((8, 8, 7)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("init_model ran")
+
+    monkeypatch.setattr("latprog.autoencoder.init_model", never)
+    with pytest.raises(ValueError, match=r"training volume 2 has shape \(8, 8, 7\)"):
+        train_autoencoder(vols, AEConfig(init=init, epochs=1, batch_size=2))
+
+
+def test_training_holds_no_copy_of_the_volumes(rng):
+    """Beyond the float32 volumes it is given, PCA training allocates the one
+    float64 matrix of centered volumes and model-sized arrays: no float64
+    stack of the volumes."""
+    n, shape = 100, (16, 16, 16)
+    vols = list(rng.random((n, *shape), dtype=np.float32))
+    cfg = AEConfig(init="pca", epochs=1, ssim_window=5)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        train_autoencoder(vols, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * n * np.prod(shape) * 8
 
 
 def test_pca_tie_survives_training(rng):

@@ -313,6 +313,36 @@ def test_latents_of_another_cohort_are_refused(tmp_path, capsys):
         assert lines[0].startswith("error: missing dependency: run stage 'encode' first"), stage
 
 
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_encode_refuses_volumes_of_another_cohort(change, tmp_path, capsys):
+    """encode streams volumes.mrxt: a container that lacks a manifest scan or
+    holds one more is a one-line error naming generate-cohort, and the
+    latents are left as they were."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**MINI_CONFIG, "autoencoder": {"epochs": 0}}))
+    out = tmp_path / "out"
+
+    def run(stage):
+        return main([stage, "--config", str(cfg_path), "--out", str(out)])
+
+    for stage in ("generate-cohort", "train-ae", "encode"):
+        assert run(stage) == 0, stage
+    latents = (out / "latents/latents.mrxt").read_bytes()
+    volumes = read_tensors(out / "cohort/volumes.mrxt")
+    first = next(iter(volumes))
+    if change == "missing":
+        del volumes[first]
+    else:
+        volumes["extra/0"] = volumes[first]
+    write_tensors(out / "cohort/volumes.mrxt", volumes)
+    capsys.readouterr()
+    assert run("encode") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: missing dependency: run stage 'generate-cohort' first")
+    assert (out / "latents/latents.mrxt").read_bytes() == latents
+
+
 def test_stages_read_only_their_split_of_the_cohort_volumes(tmp_path, capsys):
     """train-ae reads the train split's volumes and evaluate the test split's:
     scans of other splits missing from volumes.mrxt do not stop them, and one

@@ -16,6 +16,7 @@ from latprog.evaluation import write_csv
 from latprog.tensorfile import (
     MAGIC,
     VERSION,
+    iter_tensors,
     read_tensor,
     read_tensors,
     write_json,
@@ -187,6 +188,22 @@ class TestContainer:
         path.write_bytes(path.read_bytes().replace(b"bb", b"aa"))
         with pytest.raises(TensorFileError, match="duplicate tensor name 'aa'"):
             read_tensors(path, keys)
+
+    def test_entries_are_read_one_at_a_time(self, tmp_path):
+        path = tmp_path / "c.mrxt"
+        _container(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-5])
+        entries = iter_tensors(path)
+        name, first = next(entries)  # the cut in the second entry is not reached yet
+        assert name == "first" and np.array_equal(first, np.zeros((2, 3)))
+        with pytest.raises(TruncatedPayloadError):
+            next(entries)
+        path.write_bytes(raw + b"\x00")
+        entries = iter_tensors(path)
+        assert [next(entries)[0] for _ in range(2)] == ["first", "second"]
+        with pytest.raises(TruncatedPayloadError, match="trailing"):
+            next(entries)
 
     def test_empty_container(self, tmp_path):
         path = tmp_path / "e.mrxt"
