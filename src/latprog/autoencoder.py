@@ -234,13 +234,17 @@ def loss_and_grads(
         raise RuntimeError("training diverged: non-finite reconstruction")
 
     diff = x_hat - x_flat
-    l1 = float(np.mean(np.abs(diff)))
+    # One batch-sized buffer holds |diff|, then the L1 term's gradient.
+    d_xhat = np.abs(diff)
+    l1 = float(np.mean(d_xhat))
     kl_per = 0.5 * np.sum(z_mu**2 + np.exp(z_lv) - z_lv - 1.0, axis=1)
     kl = float(np.mean(kl_per))
 
     shape3 = model.input_shape
     ssim_sum = 0.0
-    d_xhat = np.sign(diff) / (b * d)
+    np.sign(diff, out=d_xhat)
+    d_xhat /= b * d
+    del diff
     for i in range(b):
         value, grad = ssim3d_with_grad(
             x_flat[i].reshape(shape3), x_hat[i].reshape(shape3), model.config.ssim_window

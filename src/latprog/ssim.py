@@ -4,9 +4,17 @@ Local statistics use cubic sliding windows at stride 1, evaluated only where
 the window fits entirely inside the volume (no padding), with population
 normalization.  Stabilizers follow the standard form C1 = (0.01 * L)^2,
 C2 = (0.03 * L)^2 for the dynamic range L = 1 of the phantom's intensities.
+
+Window sums are taken one axis at a time over the flat C-order array: along
+an axis of stride s, a window's sum is f[i] + f[i+s] + ... + f[i+(w-1)s], so
+each of its w-1 additions is one contiguous run over the whole array, not a
+strided 3-D slice with inner loops of a few dozen elements.  Sums are added
+left to right, so they carry no cancellation error.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,28 +37,58 @@ def _check_inputs(x: np.ndarray, y: np.ndarray, window: int, stack: bool = False
         raise ValueError("non-finite values in input volumes")
 
 
+def _run_sums(f: np.ndarray, stride: int, window: int, out: np.ndarray) -> np.ndarray:
+    """Write f[i] + f[i+stride] + ... + f[i+(window-1)*stride], added left to
+    right, to out[i] for every i whose run fits inside the flat array ``f``,
+    and return that prefix of ``out``."""
+    n = f.size - (window - 1) * stride
+    head = out[:n]
+    np.add(f[:n], f[stride:stride + n], out=head)
+    for k in range(2, window):
+        head += f[k * stride:k * stride + n]
+    return head
+
+
 def _box_sums(v: np.ndarray, window: int, full: bool = False) -> np.ndarray:
     """Sums of ``v`` over every cubic window that lies inside it, or with
     ``full`` over every window that overlaps it, ``v`` taken as zero outside.
 
     The full sums are the adjoint of the valid sums:
-    <valid(x), y> == <x, full(y)>.  Each axis is summed as ``window`` shifted
-    slices, which at these window sizes is faster than differences of
-    cumulative sums and adds no cancellation error.
+    <valid(x), y> == <x, full(y)>.  Axes are summed in order, each as
+    ``window`` - 1 contiguous runs of the flat array (``_run_sums``).  A run
+    that starts near the end of an inner axis wraps into the next row; those
+    sums are never read.  Each pass is written only as far as its input
+    reaches, which is exactly as far as the last window the result keeps, so
+    no unwritten entry is read.
     """
     if full:
-        v = np.pad(v, window - 1)
-    at = [slice(None)] * v.ndim
+        return _full_box_sums(v, window)
+    grid = v.shape
+    strides = [math.prod(grid[axis + 1:]) for axis in range(v.ndim)]
+    kept = [n - window + 1 for n in grid]
+    # The outermost pass keeps only its valid prefix; the later passes
+    # alternate between two buffers of that size.
+    buffers = [np.empty(kept[0] * strides[0], v.dtype) for _ in range(2)]
+    f = np.ravel(v)
+    for axis, stride in enumerate(strides):
+        f = _run_sums(f, stride, window, buffers[axis % 2])
+    sums = buffers[(v.ndim - 1) % 2].reshape(kept[0], *grid[1:])
+    return sums[(slice(None), *(slice(m) for m in kept[1:]))].copy()
+
+
+def _full_box_sums(v: np.ndarray, window: int) -> np.ndarray:
+    """``_box_sums(v, window, full=True)``: each axis in turn is padded with
+    ``window`` - 1 zeros at both ends and summed as flat runs."""
+    lead = window - 1
     for axis in range(v.ndim):
-        n = v.shape[axis] - window + 1
-        at[axis] = slice(0, n)
-        sums = v[tuple(at)].copy()
-        for k in range(1, window):
-            at[axis] = slice(k, k + n)
-            sums += v[tuple(at)]
-        at[axis] = slice(None)
-        v = sums
-    return v
+        grid = list(v.shape)
+        grid[axis] += 2 * lead
+        padded = np.zeros(grid, v.dtype)
+        padded[(slice(None),) * axis + (slice(lead, lead + v.shape[axis]),)] = v
+        sums = np.empty(padded.size, v.dtype)
+        _run_sums(padded.ravel(), math.prod(grid[axis + 1:]), window, sums)
+        v = sums.reshape(grid)[(slice(None),) * axis + (slice(v.shape[axis] + lead),)]
+    return np.ascontiguousarray(v)
 
 
 def _window_means(v: np.ndarray, window: int) -> np.ndarray:
@@ -115,8 +153,9 @@ def ssim3d_with_grad(x: np.ndarray, y: np.ndarray, window: int = 7) -> tuple[flo
     value = float(np.mean(s))
 
     inv_b1b2 = 1.0 / (b1 * b2)
-    c0 = 2 * mu_x * a2 * inv_b1b2 - 2 * mu_x * a1 * inv_b1b2 \
-        - 2 * mu_y * s / b1 + 2 * mu_y * s / b2
+    two_mu_x = 2 * mu_x
+    two_mu_y_s = 2 * mu_y * s
+    c0 = two_mu_x * a2 * inv_b1b2 - two_mu_x * a1 * inv_b1b2 - two_mu_y_s / b1 + two_mu_y_s / b2
     cx = 2 * a1 * inv_b1b2
     cy = -2 * s / b2
 

@@ -84,6 +84,82 @@ def window_sums_reference(v, window):
     return out
 
 
+def box_sums_reference(v, window, full=False):
+    """Window sums as shifted slices, axis by axis: the sums of every cubic
+    window inside ``v``, or with ``full`` of every window overlapping ``v``
+    zero-padded.  Each axis's sum adds ``window`` shifted slices left to
+    right, so a package routine that adds the same values in the same order
+    must agree to the byte."""
+    if full:
+        v = np.pad(v, window - 1)
+    at = [slice(None)] * v.ndim
+    for axis in range(v.ndim):
+        n = v.shape[axis] - window + 1
+        at[axis] = slice(0, n)
+        sums = v[tuple(at)].copy()
+        for k in range(1, window):
+            at[axis] = slice(k, k + n)
+            sums += v[tuple(at)]
+        at[axis] = slice(None)
+        v = sums
+    return v
+
+
+def _ssim_terms_reference(mu_x, ex2, mu_y, ey2, exy):
+    c1 = 0.01**2
+    c2 = 0.03**2
+    var_x = ex2 - mu_x * mu_x
+    var_y = ey2 - mu_y * mu_y
+    cov = exy - mu_x * mu_y
+    a1 = 2 * mu_x * mu_y + c1
+    a2 = 2 * cov + c2
+    b1 = mu_x**2 + mu_y**2 + c1
+    b2 = var_x + var_y + c2
+    return a1, a2, b1, b2
+
+
+def ssim_stack_reference(x, ys, window):
+    """Mean SSIM of each volume of ``ys`` against ``x``, one volume alone at a
+    time, in float64 from ``box_sums_reference`` and the package's formulas
+    (``ssim_reference`` is the independent per-window check of those)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = window**3
+    mu_x = box_sums_reference(x, window) / n
+    ex2 = box_sums_reference(x * x, window) / n
+    values = []
+    for y in ys:
+        y = np.asarray(y, dtype=np.float64)
+        a1, a2, b1, b2 = _ssim_terms_reference(
+            mu_x, ex2, box_sums_reference(y, window) / n, box_sums_reference(y * y, window) / n,
+            box_sums_reference(x * y, window) / n)
+        values.append(float(np.mean((a1 * a2) / (b1 * b2))))
+    return np.array(values)
+
+
+def ssim_with_grad_reference(x, y, window):
+    """SSIM of ``y`` against ``x`` and its gradient with respect to ``y``, in
+    float64 from ``box_sums_reference`` and the package's formulas, each
+    written out in full."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = window**3
+    mu_x = box_sums_reference(x, window) / n
+    mu_y = box_sums_reference(y, window) / n
+    a1, a2, b1, b2 = _ssim_terms_reference(
+        mu_x, box_sums_reference(x * x, window) / n, mu_y, box_sums_reference(y * y, window) / n,
+        box_sums_reference(x * y, window) / n)
+    s = (a1 * a2) / (b1 * b2)
+    inv_b1b2 = 1.0 / (b1 * b2)
+    c0 = 2 * mu_x * a2 * inv_b1b2 - 2 * mu_x * a1 * inv_b1b2 \
+        - 2 * mu_y * s / b1 + 2 * mu_y * s / b2
+    cx = 2 * a1 * inv_b1b2
+    cy = -2 * s / b2
+    grad = (box_sums_reference(c0, window, full=True)
+            + x * box_sums_reference(cx, window, full=True)
+            + y * box_sums_reference(cy, window, full=True)) / (s.size * n)
+    return float(np.mean(s)), grad
+
+
 def kl_reference(mu, log_var):
     """0.5 * sum(mu^2 + exp(lv) - lv - 1), element by element."""
     mu = np.asarray(mu, dtype=np.float64).ravel()

@@ -316,6 +316,27 @@ def test_training_holds_no_copy_of_the_volumes(rng):
     assert peak - base < 1.5 * n * np.prod(shape) * 8
 
 
+def test_loss_and_grads_batch_temporaries(rng):
+    """A float32 batch as training passes it: the float64 batch, the
+    reconstruction, the residual and the output gradient are batch-sized
+    (about 4.15 batches of float64 at peak).  The L1 term's absolute values
+    and signs are written into the output gradient's buffer, not into
+    batches of their own (5.16 when they were)."""
+    b, shape = 16, (16, 16, 16)
+    vols = rng.random((b, *shape), dtype=np.float32)
+    model = init_model(AEConfig(init="random", seed=1, ssim_window=5), shape)
+    loss_and_grads(model, vols, None)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss_and_grads(model, vols, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 4.6 * b * np.prod(shape) * 8
+
+
 def test_pca_tie_survives_training(rng):
     vols = smooth_volumes(rng, 3)
     cfg = AEConfig(init="pca", epochs=2, learning_rate=1e-3, batch_size=2, seed=5)

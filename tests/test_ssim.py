@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -124,3 +124,48 @@ def test_bounded_and_self_similar(seed):
     val = ssim3d(a, b, window=5)
     assert -1.0 <= val <= 1.0
     assert ssim3d(a, a, window=5) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def volumes_and_window(draw):
+    """A 3-D shape with axes 3-12 long, a window of 3, 5 or 7 that fits it,
+    and a seed and dtype for its volumes."""
+    shape = tuple(draw(st.integers(3, 12)) for _ in range(3))
+    window = draw(st.sampled_from([w for w in (3, 5, 7) if w <= min(shape)]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return shape, window, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(volumes_and_window())
+@example(((3, 12, 4), 3, np.float64, 0))
+@example(((7, 9, 7), 7, np.float32, 1))
+def test_box_sums_match_shifted_slices_bytewise(case):
+    shape, window, dtype, seed = case
+    r = np.random.default_rng(seed)
+    v = r.random(shape).astype(dtype)
+    assert _same_bytes(_box_sums(v, window), oracles.box_sums_reference(v, window))
+    u = r.normal(size=[s - window + 1 for s in shape]).astype(dtype)
+    assert _same_bytes(_box_sums(u, window, full=True),
+                       oracles.box_sums_reference(u, window, full=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(volumes_and_window())
+@example(((5, 5, 5), 5, np.float64, 2))
+@example(((12, 3, 8), 3, np.float32, 3))
+def test_ssim_value_and_gradient_match_oracle_sums_bytewise(case):
+    shape, window, dtype, seed = case
+    r = np.random.default_rng(seed)
+    x = r.random(shape).astype(dtype)
+    y = np.clip(x + r.normal(0.0, r.uniform(0.0, 0.5), shape), 0.0, 1.0).astype(dtype)
+    value, grad = ssim3d_with_grad(x, y, window)
+    want_value, want_grad = oracles.ssim_with_grad_reference(x, y, window)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert _same_bytes(grad, want_grad)
+    ys = np.stack([y, x, 1.0 - y])
+    assert _same_bytes(ssim3d(x, ys, window), oracles.ssim_stack_reference(x, ys, window))
