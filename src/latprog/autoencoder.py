@@ -36,6 +36,9 @@ _LOGVAR_INIT = -6.0
 # Weights of the loss terms after the mean absolute error.
 SSIM_WEIGHT = 1.0
 GAMMA_KL = 1e-5
+# float64 values in one column block of the centered rows, the most of them
+# ``principal_components`` holds: 8 MiB, not the (n, d) matrix.
+PCA_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,12 @@ class AEModel:
         return self.params["enc_b_mean"].size
 
 
-def _fix_signs(rows: np.ndarray) -> np.ndarray:
-    out = rows.copy()
-    for i, row in enumerate(out):
+def _fix_signs(rows: np.ndarray) -> None:
+    """Negate in place each row whose first entry above 1e-12 in size is negative."""
+    for row in rows:
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
         if nz.size and row[nz[0]] < 0:
-            out[i] = -row
-    return out
+            np.negative(row, out=row)
 
 
 def principal_components(rows, k: int):
@@ -93,36 +95,56 @@ def principal_components(rows, k: int):
     every one read flat as a row, such as the rows of an (n, d) matrix or n
     volumes of any float dtype.
 
-    Returns ``(mean, centered, components, variances)``: the mean row, the
-    rows minus it, the components as ``k`` orthonormal rows of length d in
-    descending order of variance, signs fixed by ``_fix_signs``, and their
-    squared singular values.  The rows are added one at a time into a
-    float64 mean, the order ``mean(axis=0)`` of their float64 stack uses, and
-    each row minus the mean is written into the one (n, d) float64 matrix
-    built, ``centered``: the rows are never stacked or copied whole.  The
-    components come from ``eigh`` of the n x n Gram matrix of the centered
-    rows, not from a thin SVD of the n x d matrix: each component is
-    ``v_i^T centered / sqrt(w_i)`` for an eigenpair ``(w_i, v_i)``.
-    Eigenvalues at or below ``w_max * max(n, d) * eps`` are rank deficiency:
-    their rows stay zero with variance 0, as do the rows past n when
-    ``k > n``.
+    Returns ``(mean, components, variances)``: the mean row, the components
+    as ``k`` orthonormal rows of length d in descending order of variance,
+    signs fixed by ``_fix_signs``, and their squared singular values.  The
+    rows are added one at a time into a float64 mean, the order
+    ``mean(axis=0)`` of their float64 stack uses.  The rows minus the mean
+    are never held whole: they are made one column block at a time, at most
+    ``PCA_BLOCK_VALUES`` float64 values (or one column), in one buffer.
+    A first pass over the blocks adds up the n x n Gram matrix of the
+    centered rows; the components come from its ``eigh``, not from a thin
+    SVD of the n x d matrix.  A second pass writes each block's columns of
+    ``v_i^T centered / sqrt(w_i)``, for each eigenpair ``(w_i, v_i)``,
+    straight into the components.  Rows that fit in one block give the
+    bytes of one Gram matrix of the whole centered matrix; more blocks add
+    it up in another order.  Eigenvalues at or below
+    ``w_max * max(n, d) * eps`` are rank deficiency: their rows stay zero
+    with variance 0, as do the rows past n when ``k > n``.
     """
     n, d = len(rows), np.size(rows[0])
     mean = np.array(np.ravel(rows[0]), dtype=np.float64)
     for row in rows[1:]:
         mean += np.ravel(row)
     mean /= n
-    centered = np.empty((n, d))
-    for i, row in enumerate(rows):
-        np.subtract(np.ravel(row), mean, out=centered[i])
-    w, v = np.linalg.eigh(centered @ centered.T)
+    width = max(1, min(d, PCA_BLOCK_VALUES // n))
+    buffer = np.empty(n * width)
+
+    def centered_blocks():
+        """(columns, the rows minus the mean at those columns as an (n, m) array)."""
+        for start in range(0, d, width):
+            cols = slice(start, min(start + width, d))
+            block = buffer[: n * (cols.stop - start)].reshape(n, -1)
+            for i, row in enumerate(rows):
+                np.subtract(np.ravel(row)[cols], mean[cols], out=block[i])
+            yield cols, block
+
+    gram = np.zeros((n, n))
+    for _, block in centered_blocks():
+        gram += block @ block.T
+    w, v = np.linalg.eigh(gram)
     w, v = w[::-1][:k], v[:, ::-1][:, :k]
     rank = int(np.count_nonzero(w > w[0] * max(n, d) * np.finfo(np.float64).eps))
     comps = np.zeros((k, d))
-    comps[:rank] = _fix_signs((v[:, :rank].T @ centered) / np.sqrt(w[:rank])[:, None])
+    vt, scale = v[:, :rank].T, np.sqrt(w[:rank])[:, None]
+    for cols, block in centered_blocks():
+        out = comps[:rank, cols]
+        np.matmul(vt, block, out=out)
+        out /= scale
+    _fix_signs(comps[:rank])
     variances = np.zeros(k)
     variances[:rank] = w[:rank]
-    return mean, centered, comps, variances
+    return mean, comps, variances
 
 
 def init_model(
@@ -137,8 +159,10 @@ def init_model(
     reconstruction; it requires ``train_volumes``, n volumes of
     ``input_shape`` as a list or a stacked array of any float dtype, which
     are passed to ``principal_components`` as they are, with no float64
-    copy.  The components come from ``eigh`` of the n x n Gram matrix of the
-    n centered volumes, not from a thin SVD of the n x d volume matrix.  A
+    copy and no (n, d) matrix of centered volumes: it holds one column block
+    of them at a time.  The components come from ``eigh`` of the n x n Gram
+    matrix of the n centered volumes, not from a thin SVD of the n x d
+    volume matrix, and are used as they are, as ``enc_w_mean``.  A
     component whose eigenvalue is at or below ``w_max * max(n, d) * eps`` is
     rank deficiency: its row stays zero, so fewer than ``LATENT_DIM + 1``
     volumes, which span fewer than ``LATENT_DIM`` directions about their
@@ -166,7 +190,7 @@ def init_model(
     elif config.init == "pca":
         if train_volumes is None:
             raise ValueError("init='pca' needs training volumes")
-        mean, _, comps, _ = principal_components(train_volumes, n_lat)
+        mean, comps, _ = principal_components(train_volumes, n_lat)
         w_mean = comps
         b_mean = -comps @ mean
         dec_w = comps.T
@@ -185,9 +209,11 @@ def _encode_batch(model: AEModel, x_flat: np.ndarray) -> np.ndarray:
     return x_flat @ p["enc_w_mean"].T + p["enc_b_mean"]
 
 
-def _decode_batch(model: AEModel, z: np.ndarray) -> np.ndarray:
+def _decode_batch(model: AEModel, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     p = model.params
-    return z @ p["dec_w"].T + p["dec_b"]
+    x_hat = np.matmul(z, p["dec_w"].T, out=out)
+    x_hat += p["dec_b"]
+    return x_hat
 
 
 def encode(model: AEModel, volume: np.ndarray) -> EncodedDistribution:
@@ -208,18 +234,25 @@ def decode(model: AEModel, latent: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(
-    model: AEModel, x_batch: np.ndarray, eps: np.ndarray | None
+    model: AEModel, x_batch: np.ndarray, eps: np.ndarray | None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[AELossTerms, dict[str, np.ndarray]]:
     """Batch loss and parameter gradients.
 
     ``eps`` is the reparameterization noise, shape (batch, n_latent); pass
     None to decode the mean (also what inference does).  Supplying eps
-    explicitly keeps the loss deterministic for gradient checking.
+    explicitly keeps the loss deterministic for gradient checking.  A
+    float64 batch of shape (batch, n_voxels) is used as it is, and any other
+    is converted.  ``out``, two C-contiguous float64 arrays of that shape,
+    receives the reconstruction and then the gradient of the loss with
+    respect to it; without ``out`` both are allocated.  Either way they are
+    the only batch-sized arrays made.
     """
     p = model.params
     b = x_batch.shape[0]
     d = model.n_voxels
     x_flat = np.asarray(x_batch, dtype=np.float64).reshape(b, d)
+    x_hat, d_xhat = (np.empty((b, d)), np.empty((b, d))) if out is None else out
 
     z_mu = _encode_batch(model, x_flat)
     z_lv = np.broadcast_to(p["enc_b_logvar"], z_mu.shape)
@@ -228,23 +261,24 @@ def loss_and_grads(
         z = z_mu + sigma * eps
     else:
         z = z_mu
-    x_hat = _decode_batch(model, z)
+    _decode_batch(model, z, out=x_hat)
 
     if not np.isfinite(x_hat).all():
         raise RuntimeError("training diverged: non-finite reconstruction")
 
-    diff = x_hat - x_flat
-    # One batch-sized buffer holds |diff|, then the L1 term's gradient.
-    d_xhat = np.abs(diff)
+    # The output-gradient buffer holds |x_hat - x| for the L1 term, then the
+    # residual again, from the same operands, for its sign: the L1 gradient.
+    np.subtract(x_hat, x_flat, out=d_xhat)
+    np.abs(d_xhat, out=d_xhat)
     l1 = float(np.mean(d_xhat))
     kl_per = 0.5 * np.sum(z_mu**2 + np.exp(z_lv) - z_lv - 1.0, axis=1)
     kl = float(np.mean(kl_per))
 
     shape3 = model.input_shape
     ssim_sum = 0.0
-    np.sign(diff, out=d_xhat)
+    np.subtract(x_hat, x_flat, out=d_xhat)
+    np.sign(d_xhat, out=d_xhat)
     d_xhat /= b * d
-    del diff
     for i in range(b):
         value, grad = ssim3d_with_grad(
             x_flat[i].reshape(shape3), x_hat[i].reshape(shape3), model.config.ssim_window
@@ -282,12 +316,14 @@ def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
     """Train on a sequence of equal-shape volumes.
 
     The volumes are held as given, float32 as read from a cohort, and never
-    stacked whole: each minibatch is stacked from its own volumes, and
-    ``loss_and_grads`` upcasts it to float64, which is exact, so the model
-    is bit-identical to one trained on float64 copies.  A volume whose shape
-    differs from the first one's raises ValueError before any work.
-    Momentum-free adaptive steps (RMSProp); deterministic given config.seed.
-    Raises on divergence.  The returned model records per-epoch mean loss.
+    stacked whole.  Three float64 batch buffers are allocated once and
+    reused by every step: each minibatch's volumes are upcast straight into
+    the first, which is exact, so the model is bit-identical to one trained
+    on float64 copies, and ``loss_and_grads`` writes the reconstruction and
+    its gradient into the other two.  A volume whose shape differs from the
+    first one's raises ValueError before any work.  Momentum-free adaptive
+    steps (RMSProp); deterministic given config.seed.  Raises on divergence.
+    The returned model records per-epoch mean loss.
     """
     vols = list(train_volumes)
     if not vols:
@@ -299,10 +335,15 @@ def train_autoencoder(train_volumes, config: AEConfig) -> AEModel:
                 f"training volume {i} has shape {np.shape(v)}, not the {shape} of volume 0"
             )
     model = init_model(config, shape, train_volumes=vols)
+    x_buf, x_hat, d_xhat = (np.empty((min(config.batch_size, len(vols)), model.n_voxels))
+                            for _ in range(3))
 
     def step(idx, rng):
         eps = rng.standard_normal((len(idx), model.n_latent)) if config.sample_latent else None
-        terms, grads = loss_and_grads(model, np.stack([vols[i] for i in idx]), eps)
+        m = len(idx)
+        x = x_buf[:m]
+        np.stack([vols[i] for i in idx], out=x.reshape(m, *shape))
+        terms, grads = loss_and_grads(model, x, eps, out=(x_hat[:m], d_xhat[:m]))
         return terms.total, grads
 
     model.loss_curve = optim.train(model.params, len(vols), config, step)

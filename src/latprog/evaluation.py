@@ -142,7 +142,8 @@ def pca_project(points, n_components: int = 2) -> PCAResult:
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    _, centered, comps, variances = principal_components(pts, min(n_components, *pts.shape))
+    mean, comps, variances = principal_components(pts, min(n_components, *pts.shape))
+    centered = pts - mean
     total = float(np.sum(centered * centered)) / n
     if total == 0.0:
         raise ValueError("degenerate input: fewer than two distinct points")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import phantom
 from .errors import MissingDependencyError
 from .stages import MANIFEST, VOLUMES, producer
@@ -92,39 +90,45 @@ def spec_from_dict(data: dict) -> phantom.PhantomSpec:
 
 
 def save_cohort(cohort: phantom.Cohort, out_dir, cohort_id: str) -> Path:
-    """Write manifest.json and volumes.mrxt under out_dir."""
+    """Write volumes.mrxt, then manifest.json, under out_dir.
+
+    The container is written one scan at a time, in manifest order: a scan
+    that holds a volume is written as it is, and one that holds none, as in
+    a table from ``phantom.sample_cohort``, is rendered from its row by
+    ``phantom.render_scan`` when its entry is written and dropped after it.
+    Saving a sampled table therefore holds one volume at a time, and writes
+    the bytes that saving the same cohort rendered whole would.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    volumes: dict[str, np.ndarray] = {}
-    subjects = []
-    for subject in cohort.subjects:
-        scans = []
-        for idx, scan in enumerate(subject.scans):
-            if scan.volume is None:
-                raise ValueError(f"scan {subject.subject_id}/{idx} has no volume")
-            volumes[f"{subject.subject_id}/{idx}"] = scan.volume
-            scans.append(
-                {
-                    "age": scan.age,
-                    "diagnosis_at_scan": scan.diagnosis_at_scan,
-                    "seed": scan.seed,
-                }
-            )
-        subjects.append(
-            {
-                "subject_id": subject.subject_id,
-                "diagnosis": subject.diagnosis,
-                "split": subject.split,
-                "true_rates": {str(k): v for k, v in subject.rate_multipliers.items()},
-                "scans": scans,
-            }
-        )
+
+    def volumes():
+        for subject in cohort.subjects:
+            for idx, scan in enumerate(subject.scans):
+                volume = scan.volume
+                if volume is None:
+                    volume = phantom.render_scan(cohort.spec, subject, scan)
+                yield f"{subject.subject_id}/{idx}", volume
+
+    subjects = [
+        {
+            "subject_id": subject.subject_id,
+            "diagnosis": subject.diagnosis,
+            "split": subject.split,
+            "true_rates": {str(k): v for k, v in subject.rate_multipliers.items()},
+            "scans": [
+                {"age": scan.age, "diagnosis_at_scan": scan.diagnosis_at_scan, "seed": scan.seed}
+                for scan in subject.scans
+            ],
+        }
+        for subject in cohort.subjects
+    ]
     manifest = {
         "cohort_id": cohort_id,
         "spec": spec_to_dict(cohort.spec),
         "subjects": subjects,
     }
-    write_tensors(out / "volumes.mrxt", volumes)
+    write_tensors(out / "volumes.mrxt", volumes())
     path = out / "manifest.json"
     write_json(path, manifest)
     return path

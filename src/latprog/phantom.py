@@ -442,7 +442,7 @@ def check_cohort_args(
         raise ValueError(f"split_fractions: bad split fractions {split_fractions}")
 
 
-def generate_cohort(
+def sample_cohort(
     spec: PhantomSpec,
     n_subjects: int,
     *,
@@ -453,12 +453,14 @@ def generate_cohort(
     split_fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
 ) -> Cohort:
-    """Sample a longitudinal cohort; deterministic given the seed.
+    """Sample a longitudinal cohort's subject table; deterministic given the seed.
 
     Each subject gets a diagnosis from ``diagnosis_mix``, per-region rate
-    multipliers (diagnosis scale with +-10% jitter), irregular scan ages, and
-    rendered volumes.  Subjects are split train/val/test disjointly.  The
-    arguments must pass :func:`check_cohort_args`.
+    multipliers (diagnosis scale with +-10% jitter) and irregular scan ages;
+    each scan gets a noise seed.  Subjects are split train/val/test
+    disjointly.  No volume is rendered: each scan's is the pure function
+    :func:`render_scan` of its row.  The arguments must pass
+    :func:`check_cohort_args`, and the spec :func:`validate_spec`.
     """
     check_cohort_args(scans_per_subject, age_spacing, baseline_age_range, diagnosis_mix,
                       split_fractions)
@@ -482,18 +484,15 @@ def generate_cohort(
         ages = baseline + np.concatenate([[0.0], np.cumsum(gaps)])
         labels = _scan_diagnoses(diagnosis, n_scans, rng)
         subject_id = f"sub-{i:04d}"
-        scans = []
-        for age, label in zip(ages, labels):
-            scan_seed = int(rng.integers(0, 2**63 - 1))
-            scans.append(
-                ScanRecord(
-                    subject_id=subject_id,
-                    age=float(age),
-                    diagnosis_at_scan=label,
-                    seed=scan_seed,
-                    volume=render_volume(spec, mults, float(age), scan_seed),
-                )
+        scans = [
+            ScanRecord(
+                subject_id=subject_id,
+                age=float(age),
+                diagnosis_at_scan=label,
+                seed=int(rng.integers(0, 2**63 - 1)),
             )
+            for age, label in zip(ages, labels)
+        ]
         subjects.append(
             SubjectRecord(
                 subject_id=subject_id,
@@ -515,3 +514,22 @@ def generate_cohort(
         else:
             subjects[idx].split = "test"
     return Cohort(spec=spec, subjects=subjects)
+
+
+def render_scan(spec: PhantomSpec, subject: SubjectRecord, scan: ScanRecord) -> np.ndarray:
+    """The volume of one scan of a subject, rendered from its table row."""
+    return render_volume(spec, subject.rate_multipliers, scan.age, scan.seed)
+
+
+def generate_cohort(spec: PhantomSpec, n_subjects: int, **kwargs) -> Cohort:
+    """:func:`sample_cohort` with every scan's volume rendered and held.
+
+    Takes the same arguments.  The whole cohort is in memory at once; to
+    write one to disk, ``manifest.save_cohort`` of the sampled table renders
+    one scan at a time instead.
+    """
+    cohort = sample_cohort(spec, n_subjects, **kwargs)
+    for subject in cohort.subjects:
+        for scan in subject.scans:
+            scan.volume = render_scan(spec, subject, scan)
+    return cohort

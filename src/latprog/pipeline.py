@@ -157,7 +157,7 @@ def _write_record(out: Path, stage: str, cfg: RunConfig, inputs: dict[str, str],
 def stage_generate_cohort(cfg: RunConfig, out: Path) -> None:
     cp = cfg.cohort
     spec = phantom.default_spec(grid_size=cp.grid_size, noise_sigma=cp.noise_sigma)
-    cohort = phantom.generate_cohort(
+    cohort = phantom.sample_cohort(
         spec,
         cp.n_subjects,
         scans_per_subject=cp.scans_per_subject,
@@ -172,6 +172,13 @@ def stage_generate_cohort(cfg: RunConfig, out: Path) -> None:
 
 
 def stage_train_ae(cfg: RunConfig, out: Path) -> None:
+    # numpy loads its random module at the first draw, and what that makes
+    # (the module's code, its global RandomState) lives as long as the
+    # process.  Loaded after the volumes are read, it lands in the heap above
+    # them, and glibc cannot return their pages once they are freed (about
+    # 45 MiB kept after a grid-32 train-ae), so it is loaded first.
+    import numpy.random  # noqa: F401
+
     cohort = load_cohort(out / "cohort", split="train")
     model = train_autoencoder(cohort.volumes(), cfg.autoencoder)
     save_model(model, out / "ae" / "model.mrxt", out / "ae" / "model.json")

@@ -16,9 +16,11 @@ and per entry: u16 name length, UTF-8 name, then dtype/ndim/dims/payload as
 above.
 
 Both kinds are streamed entry by entry through the open file, so reading or
-writing a container holds its tensors but never a second copy of its bytes;
-a container read can take some of its entries by name and seek past the rest,
-and :func:`iter_tensors` hands them over one at a time.
+writing a container holds its tensors but never a second copy of its bytes.
+Either end can also hold one entry at a time: :func:`write_tensors` draws
+its entries from an iterator as well as from a dict, writing the entry count
+after the last, and :func:`iter_tensors` hands them over one at a time.  A
+container read can take some of its entries by name and seek past the rest.
 A write goes to a temporary file beside the target and replaces it only when
 complete: an interrupted write leaves the previous file as it was.  JSON
 files (:func:`write_json`) and the CSVs of ``evaluation.write_csv`` are
@@ -160,14 +162,32 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return arr
 
 
-def write_tensors(path: str | Path, named: dict[str, np.ndarray]) -> None:
-    """Write a named-tensor container.  Entry order follows dict order."""
+def write_tensors(path: str | Path, named) -> None:
+    """Write a named-tensor container from a dict or an iterable of
+    ``(name, array)`` pairs, in their order.
+
+    Each array is written when its pair is drawn, so an iterator that makes
+    its arrays one at a time, and drops each before making the next, has one
+    of them alive at a time.  The entry count is written once the last pair
+    is drawn; the file bytes are those of a dict of the same pairs.  A name
+    already written raises TensorFileError, and like any other exception,
+    one raised by the iterator leaves the previous file at path as it was.
+    """
+    pairs = named.items() if isinstance(named, dict) else named
+    names: set[str] = set()
     with replacing(path) as fh:
-        fh.write(MAGIC + struct.pack("<BBI", VERSION, _CONTAINER_SENTINEL, len(named)))
-        for name, array in named.items():
+        fh.write(MAGIC + struct.pack("<BB", VERSION, _CONTAINER_SENTINEL))
+        count_at = fh.tell()
+        fh.write(struct.pack("<I", 0))
+        for name, array in pairs:
+            if name in names:
+                raise TensorFileError(f"{path}: duplicate tensor name {name!r}")
+            names.add(name)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)) + encoded)
             _write_tensor_body(fh, array)
+        fh.seek(count_at)
+        fh.write(struct.pack("<I", len(names)))
 
 
 def iter_tensors(path: str | Path, keys=None):

@@ -295,6 +295,34 @@ def pca_rows_svd(x, k):
     return rows, s2
 
 
+def pca_one_matrix(rows, k):
+    """Top-k principal components from the Gram matrix of the whole (n, d)
+    float64 matrix of centered rows, built at once: the package's PCA before
+    it held one column block at a time.  Returns ``(mean, centered,
+    components, variances)``, signs fixed as the package fixes them."""
+    n, d = len(rows), np.size(rows[0])
+    mean = np.array(np.ravel(rows[0]), dtype=np.float64)
+    for row in rows[1:]:
+        mean += np.ravel(row)
+    mean /= n
+    centered = np.empty((n, d))
+    for i, row in enumerate(rows):
+        np.subtract(np.ravel(row), mean, out=centered[i])
+    w, v = np.linalg.eigh(centered @ centered.T)
+    w, v = w[::-1][:k], v[:, ::-1][:, :k]
+    rank = int(np.count_nonzero(w > w[0] * max(n, d) * np.finfo(np.float64).eps))
+    comps = np.zeros((k, d))
+    rows_out = (v[:, :rank].T @ centered) / np.sqrt(w[:rank])[:, None]
+    for i, row in enumerate(rows_out):
+        nz = np.nonzero(np.abs(row) > 1e-12)[0]
+        if nz.size and row[nz[0]] < 0:
+            rows_out[i] = -row
+    comps[:rank] = rows_out
+    variances = np.zeros(k)
+    variances[:rank] = w[:rank]
+    return mean, centered, comps, variances
+
+
 def region_counts_unique(seg, region_ids):
     """Voxel count per region id and of all non-background voxels, by
     ``np.unique`` over the labels and one mask per region; raises on a label

@@ -9,6 +9,7 @@ import oracles
 from latprog.autoencoder import (
     GAMMA_KL,
     LATENT_DIM,
+    PCA_BLOCK_VALUES,
     SSIM_WEIGHT,
     AEConfig,
     decode,
@@ -243,23 +244,67 @@ def test_pca_init_matches_svd_oracle(n, rng):
 
 def test_pca_variances_match_svd_oracle(rng):
     x = structured_volumes(rng, 40).reshape(40, -1)
-    mean, centered, _, variances = principal_components(x, LATENT_DIM)
+    mean, _, variances = principal_components(x, LATENT_DIM)
     _, s2 = oracles.pca_rows_svd(x, LATENT_DIM)
     np.testing.assert_allclose(variances, s2, rtol=1e-10)
     assert np.all(np.diff(variances) < 0)
-    np.testing.assert_allclose(centered, x - mean, rtol=0, atol=1e-15)
+    assert np.array_equal(mean, x.mean(axis=0))
 
 
-@pytest.mark.parametrize("shape", [(40, 512), (600, 64)], ids=["n<d", "n>d"])
+@pytest.mark.parametrize("shape", [(40, 512), (600, 64), (20, 200_000)],
+                         ids=["n<d", "n>d", "several-blocks"])
 def test_pca_of_float32_rows_is_that_of_their_float64_stack(shape, rng):
     rows = list(rng.normal(0.5, 1.0, shape).astype(np.float32))
     x = np.stack(rows).astype(np.float64)
     got = principal_components(rows, LATENT_DIM)
     want = principal_components(x, LATENT_DIM)
     assert np.array_equal(got[0], x.mean(axis=0))
-    assert np.array_equal(got[1], x - x.mean(axis=0))
-    for name, a, b in zip(("mean", "centered", "components", "variances"), got, want):
+    for name, a, b in zip(("mean", "components", "variances"), got, want):
         assert a.dtype == np.float64 and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("shape", [(40, 512), (600, 64), (3, 512)],
+                         ids=["n<d", "n>d", "rank-deficient"])
+def test_pca_in_one_block_is_the_one_matrix_pca(shape, rng):
+    """Rows that fit in one column block give the bytes of the PCA that
+    builds the whole centered matrix: the same Gram matrix and products."""
+    assert shape[0] * shape[1] <= PCA_BLOCK_VALUES
+    rows = list(rng.normal(0.5, 1.0, shape).astype(np.float32))
+    got = principal_components(rows, LATENT_DIM)
+    mean, _, comps, variances = oracles.pca_one_matrix(rows, LATENT_DIM)
+    for name, a, b in zip(("mean", "components", "variances"), got, (mean, comps, variances)):
+        assert np.array_equal(a, b), name
+
+
+def test_pca_in_blocks_matches_the_one_matrix_pca(rng):
+    """Column blocks add the Gram matrix up in another order: the result
+    agrees with the one-matrix PCA to rounding, not to the bit."""
+    n, d = 20, 3 * PCA_BLOCK_VALUES // 20 + 7  # three full blocks and a short one
+    x = rng.normal(0.5, 1.0, (n, d)).astype(np.float32)
+    x[:, : d // 2] += np.outer(np.arange(n), rng.normal(size=d // 2)).astype(np.float32)
+    mean, comps, variances = principal_components(x, LATENT_DIM)
+    want_mean, _, want_comps, want_variances = oracles.pca_one_matrix(x, LATENT_DIM)
+    assert np.array_equal(mean, want_mean)
+    np.testing.assert_allclose(variances, want_variances, rtol=1e-12)
+    np.testing.assert_allclose(comps, want_comps, rtol=0, atol=1e-12)
+
+
+def test_pca_holds_one_block_not_the_centered_matrix(rng):
+    """Peak allocation of the PCA of n float32 rows of d values, with n * d
+    four times the block size: the block, the components and the mean, well
+    under the n * d * 8 bytes of the float64 centered matrix."""
+    n, d = 64, 4 * PCA_BLOCK_VALUES // 64
+    rows = list(rng.random((n, d), dtype=np.float32))
+    principal_components(rows[:4], LATENT_DIM)  # first-call set-up out of the count
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        principal_components(rows, LATENT_DIM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.5 * n * d * 8
 
 
 def test_pca_init_leaves_rows_past_the_rank_zero(rng):
@@ -299,9 +344,11 @@ def test_unequal_volume_shapes_refused_before_any_work(init, rng, monkeypatch):
 
 
 def test_training_holds_no_copy_of_the_volumes(rng):
-    """Beyond the float32 volumes it is given, PCA training allocates the one
-    float64 matrix of centered volumes and model-sized arrays: no float64
-    stack of the volumes."""
+    """Beyond the float32 volumes it is given, PCA training allocates one
+    column block of centered volumes (here all of them: 100 volumes of 16^3
+    fit in one block), model-sized arrays and three batch buffers: no
+    float64 stack of the volumes (1.30 at peak when the batches were made
+    afresh at every step, 1.16 with the buffers reused)."""
     n, shape = 100, (16, 16, 16)
     vols = list(rng.random((n, *shape), dtype=np.float32))
     cfg = AEConfig(init="pca", epochs=1, ssim_window=5)
@@ -313,15 +360,16 @@ def test_training_holds_no_copy_of_the_volumes(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < 1.5 * n * np.prod(shape) * 8
+    assert peak - base < 1.25 * n * np.prod(shape) * 8
 
 
 def test_loss_and_grads_batch_temporaries(rng):
-    """A float32 batch as training passes it: the float64 batch, the
-    reconstruction, the residual and the output gradient are batch-sized
-    (about 4.15 batches of float64 at peak).  The L1 term's absolute values
-    and signs are written into the output gradient's buffer, not into
-    batches of their own (5.16 when they were)."""
+    """A float32 batch, with no ``out``: the float64 batch, the
+    reconstruction and the output gradient are batch-sized, and the two
+    weight gradients half a batch each (about 4.14 batches of float64 at
+    peak).  The residual, its absolute values and its signs are written
+    into the output gradient's buffer, not into batches of their own (5.16
+    when they were)."""
     b, shape = 16, (16, 16, 16)
     vols = rng.random((b, *shape), dtype=np.float32)
     model = init_model(AEConfig(init="random", seed=1, ssim_window=5), shape)
@@ -335,6 +383,37 @@ def test_loss_and_grads_batch_temporaries(rng):
     finally:
         tracemalloc.stop()
     assert peak - base < 4.6 * b * np.prod(shape) * 8
+
+
+def test_loss_and_grads_writes_into_given_buffers(rng):
+    """With ``out`` and a float64 batch, the call makes no batch-sized array
+    of its own: the peak is the weight gradients (half a batch each at
+    b = 16 and 8 latents) and per-volume SSIM temporaries, not the 4.14
+    batches of an allocating call.  The results are bit-identical."""
+    b, shape = 16, (16, 16, 16)
+    d = int(np.prod(shape))
+    x = rng.random((b, d))
+    eps = rng.standard_normal((b, LATENT_DIM))
+    model = init_model(AEConfig(init="random", seed=1, ssim_window=5), shape)
+    want_terms, want_grads = loss_and_grads(model, x, eps)
+    out = (np.empty((b, d)), np.empty((b, d)))
+    loss_and_grads(model, x, eps, out=out)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        terms, grads = loss_and_grads(model, x, eps, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * b * d * 8
+    assert terms == want_terms
+    for name, g in want_grads.items():
+        assert np.array_equal(grads[name], g), name
+    z = x @ model.params["enc_w_mean"].T + model.params["enc_b_mean"]
+    z += np.exp(0.5 * model.params["enc_b_logvar"]) * eps
+    np.testing.assert_allclose(out[0], z @ model.params["dec_w"].T + model.params["dec_b"],
+                               rtol=0, atol=1e-12)
 
 
 def test_pca_tie_survives_training(rng):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,34 @@ def test_manifest_bytes_deterministic(small_cohort, tmp_path):
     # the written document is already in canonical form
     text = p1.read_text()
     assert canonical_json(json.loads(text)) == text
+
+
+def test_saved_table_is_byte_identical_to_saved_rendered_cohort(spec32, tmp_path):
+    """A sampled table, saved, renders each scan from its row as it is
+    written: the files are those of the same cohort rendered whole."""
+    kwargs = dict(scans_per_subject=(2, 3), age_spacing=(0.9, 1.2), seed=3)
+    table = phantom.sample_cohort(spec32, 4, **kwargs)
+    assert all(scan.volume is None for s in table.subjects for scan in s.scans)
+    save_cohort(table, tmp_path / "table", "same-id")
+    save_cohort(phantom.generate_cohort(spec32, 4, **kwargs), tmp_path / "whole", "same-id")
+    for name in ("volumes.mrxt", "manifest.json"):
+        assert (tmp_path / "table" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_saving_a_table_holds_one_volume_at_a_time(spec32, tmp_path):
+    """The peak allocation of saving 40 or more scans is that of rendering
+    one (about 9 float32 volumes of temporaries), not the cohort's."""
+    table = phantom.sample_cohort(spec32, 16, scans_per_subject=(3, 3), seed=5)
+    save_cohort(phantom.sample_cohort(spec32, 1, seed=0), tmp_path / "warm", "warm")
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        save_cohort(table, tmp_path / "c", "c")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 12 * spec32.grid_size**3 * 4
 
 
 # -------------------------------------------------------------------- config

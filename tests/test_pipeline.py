@@ -607,6 +607,29 @@ def test_package_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_train_ae_loads_numpy_random_before_the_volumes():
+    """numpy loads its random module at the first draw.  Loaded after
+    train-ae has read the volumes, its long-lived objects land in the heap
+    above them, and the freed heap under them is never returned; so the
+    stage loads it first.  Importing the package does not load it."""
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import latprog.pipeline as p\n"
+        "print('numpy.random.mtrand' in sys.modules)\n"
+        "def probe(*args, **kwargs):\n"
+        "    print('numpy.random.mtrand' in sys.modules)\n"
+        "    raise SystemExit(0)\n"
+        "p.load_cohort = probe\n"
+        "p.stage_train_ae(None, Path('.'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_lock_conflict_reported(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -223,6 +223,44 @@ class TestContainer:
         assert [p.name for p in tmp_path.iterdir()] == ["c.mrxt"]
 
 
+    def test_iterator_write_is_byte_identical_to_dict_write(self, tmp_path, rng):
+        tensors = {f"sub-{i:04d}/0": rng.random((4, 3, 2)).astype(np.float32) for i in range(5)}
+        write_tensors(tmp_path / "dict.mrxt", tensors)
+        drawn = []
+
+        def pairs():
+            for name, array in tensors.items():
+                drawn.append(name)
+                yield name, array
+
+        write_tensors(tmp_path / "iter.mrxt", pairs())
+        assert drawn == list(tensors)
+        assert (tmp_path / "iter.mrxt").read_bytes() == (tmp_path / "dict.mrxt").read_bytes()
+        write_tensors(tmp_path / "empty.mrxt", iter(()))
+        assert read_tensors(tmp_path / "empty.mrxt") == {}
+
+    def test_raising_iterator_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "c.mrxt"
+        write_tensors(path, {"a": np.ones((3,), dtype=np.float32)})
+        before = path.read_bytes()
+
+        def pairs():
+            yield "a", np.zeros((8, 8), dtype=np.float32)
+            raise RuntimeError("entry source failed")
+
+        with pytest.raises(RuntimeError, match="entry source failed"):
+            write_tensors(path, pairs())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.mrxt"]
+
+    def test_duplicate_name_refused_on_write(self, tmp_path):
+        path = tmp_path / "c.mrxt"
+        pairs = [("a", np.zeros(2, dtype=np.float32)), ("a", np.ones(2, dtype=np.float32))]
+        with pytest.raises(TensorFileError, match="duplicate tensor name 'a'"):
+            write_tensors(path, pairs)
+        assert list(tmp_path.iterdir()) == []
+
+
 def _rows_that_fail():
     yield ["sub-0000", "0.5"]
     raise RuntimeError("row source failed")
