@@ -178,6 +178,10 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
 def _check_buildable(cfg: RunConfig) -> None:
     """Build or check what the stages will build from ``cfg``, so that a value
     they would refuse fails here, as a ConfigError naming it, before any work."""
+    try:
+        cfg.diffusion.schedule()
+    except ValueError as exc:
+        raise ConfigError(f"diffusion.timesteps: {exc}") from exc
     cp = cfg.cohort
     try:
         phantom.validate_spec(phantom.default_spec(cp.grid_size, cp.noise_sigma))

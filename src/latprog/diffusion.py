@@ -6,14 +6,14 @@ and averages K independent draws.  The chains of every forecast run as
 rows of one state in a single reverse loop (``sample_betas``), so each
 step makes one row-batched denoiser call (``predict_noise``); each chain
 still draws from its own seeded generator, so a row's draws do not depend
-on the other rows.  The noise schedule is the linear one over the
-denoiser's configured ``timesteps`` (``DiffusionConfig.schedule``), so a
-stored denoiser samples with the schedule it was trained on and a
-mismatched one is refused.  The chain operates in a standardized target
-space (shift/scale estimated from the training triplets) so the
-unit-Gaussian start matches the target scale; a raw callable passed to the
-sampler bypasses the standardization, which lets closed-form denoisers
-drive the exact chain.
+on the other rows.  The noise schedule is the linear one between the
+constant step betas BETA_START and BETA_END over the denoiser's configured
+``timesteps`` (``DiffusionConfig.schedule``), so a stored denoiser samples
+with the schedule it was trained on and a mismatched one is refused.  The
+chain operates in a standardized target space (shift/scale estimated from
+the training triplets) so the unit-Gaussian start matches the target
+scale; a raw callable passed to the sampler bypasses the standardization,
+which lets closed-form denoisers drive the exact chain.
 """
 
 from __future__ import annotations
@@ -35,46 +35,40 @@ EMBED_WIDTH = 16
 EMA_DECAY = 0.99
 
 
+# The linear schedule's first and last step betas.
+BETA_START = 1e-4
+BETA_END = 0.02
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Forward-process variances; index 0 is the identity step by convention.
-
-    ``alphas`` and ``alpha_bars`` are derived from ``betas`` once, when the
-    schedule is built and its betas have passed :meth:`validate`.
-    """
+    """Forward-process variances; index 0 is the identity step by convention."""
 
     betas: np.ndarray  # (T+1,), betas[0] = 0
-    alphas: np.ndarray = field(init=False, repr=False)
-    alpha_bars: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "betas", np.asarray(self.betas, dtype=np.float64))
-        self.validate()
-        object.__setattr__(self, "alphas", 1.0 - self.betas)
-        object.__setattr__(self, "alpha_bars", np.cumprod(self.alphas))
+    alphas: np.ndarray = field(repr=False)  # 1 - betas
+    alpha_bars: np.ndarray = field(repr=False)  # cumulative products of alphas
 
     @classmethod
-    def linear(cls, timesteps: int = 500, beta_start: float = 1e-4,
-               beta_end: float = 0.02) -> "NoiseSchedule":
+    def linear(cls, timesteps: int = 500) -> "NoiseSchedule":
+        """Step betas evenly spaced from BETA_START to BETA_END.
+
+        ValueError below one step, or at 73,253 steps or more, where
+        alpha_bars stops strictly decreasing in float64.
+        """
         if timesteps < 1:
             raise ValueError("invalid schedule: need at least one step")
-        return cls(betas=np.concatenate([[0.0], np.linspace(beta_start, beta_end, timesteps)]))
+        betas = np.concatenate([[0.0], np.linspace(BETA_START, BETA_END, timesteps)])
+        alphas = 1.0 - betas
+        alpha_bars = np.cumprod(alphas)
+        if np.any(np.diff(alpha_bars) >= 0):
+            raise ValueError(
+                f"invalid schedule: at {timesteps} steps alpha_bars does not strictly decrease"
+            )
+        return cls(betas, alphas, alpha_bars)
 
     @property
     def timesteps(self) -> int:
         return len(self.betas) - 1
-
-    def validate(self) -> None:
-        b = self.betas
-        if b.ndim != 1 or len(b) < 2 or b[0] != 0.0:
-            raise ValueError("invalid schedule: betas must be 1D with betas[0] = 0")
-        steps = b[1:]
-        if np.any(steps <= 0.0) or np.any(steps >= 1.0):
-            raise ValueError("invalid schedule: step betas must lie in (0, 1)")
-        if np.any(np.diff(steps) < 0):
-            raise ValueError("invalid schedule: betas must be non-decreasing")
-        if np.any(np.diff(np.cumprod(1.0 - b)) >= 0):
-            raise ValueError("invalid schedule: alpha_bars must strictly decrease")
 
 
 def forward_noise(schedule: NoiseSchedule, beta, t, eps) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Cohort-level analyses: forecast protocols, volume errors, latent
 diagnostics, rate norms.
 
-A protocol maps subjects' scan ages to forecast cases; predict forecasts
-them and evaluate scores the stored volumes here.
+A protocol maps subjects' scan ages to the forecast cases of the configured
+belief sources, none when no subject is eligible; predict forecasts them and
+evaluate scores the stored volumes here.
 
 Region volumes of predictions are measured by nearest-intensity
 segmentation of the decoded volume; ground truth for rendered scans comes
@@ -13,7 +14,7 @@ reported as a percentage of the subject's first-scan total brain volume.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,36 +130,19 @@ def generalized_dice(a: np.ndarray, b: np.ndarray) -> float:
     return num / den
 
 
-@dataclass
-class PCAResult:
-    projections: np.ndarray  # (n_points, k)
-    explained_variance_ratio: np.ndarray  # (k,), of total variance
-    components: np.ndarray  # (k, dim)
-
-
-def pca_project(points, n_components: int = 2) -> PCAResult:
-    """Mean-centered PCA; ratios are fractions of the total variance."""
-    pts = np.stack([np.asarray(p, dtype=np.float64).ravel() for p in points])
+def latent_collinearity(subject_latents) -> float:
+    """Share of the total variance of a subject's latent trajectory along its
+    first principal component; ValueError for fewer than three scans or one point."""
+    if len(subject_latents) < 3:
+        raise ValueError("need at least three scans")
+    pts = np.stack([np.asarray(p, dtype=np.float64).ravel() for p in subject_latents])
     n = pts.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points")
-    mean, comps, variances = principal_components(pts, min(n_components, *pts.shape))
+    mean, _, variances = principal_components(pts, 1)
     centered = pts - mean
     total = float(np.sum(centered * centered)) / n
     if total == 0.0:
         raise ValueError("degenerate input: fewer than two distinct points")
-    return PCAResult(
-        projections=centered @ comps.T,
-        explained_variance_ratio=(variances / n) / total,
-        components=comps,
-    )
-
-
-def latent_collinearity(subject_latents) -> float:
-    """Explained-variance share of the first PC of a subject's trajectory."""
-    if len(subject_latents) < 3:
-        raise ValueError("need at least three scans")
-    return float(pca_project(subject_latents, 1).explained_variance_ratio[0])
+    return float((variances[0] / n) / total)
 
 
 @dataclass
@@ -169,21 +153,22 @@ class InterpolationReport:
     max_chord_dev: dict[str, float]  # voxels
 
 
+# Points on the latent segment interpolation_linearity decodes, ends included.
+N_ALPHAS = 11
+
+
 def interpolation_linearity(
-    model: AEModel,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    spec: phantom.PhantomSpec,
-    n_alphas: int = 11,
+    model: AEModel, z1: np.ndarray, z2: np.ndarray, spec: phantom.PhantomSpec
 ) -> InterpolationReport:
-    """Region volumes along the latent segment alpha*z1 + (1-alpha)*z2.
+    """Region volumes along the latent segment alpha*z1 + (1-alpha)*z2, at
+    N_ALPHAS evenly spaced alphas from 0 to 1.
 
     Fits counts against alpha by least squares (R^2 = 1 for a constant
     series) and reports the worst deviation from the endpoint chord.
     """
-    alphas = np.linspace(0.0, 1.0, n_alphas)
+    alphas = np.linspace(0.0, 1.0, N_ALPHAS)
     names = [r.name for r in spec.regions]
-    counts = {name: np.empty(n_alphas) for name in names}
+    counts = {name: np.empty(N_ALPHAS) for name in names}
     for i, alpha in enumerate(alphas):
         z = alpha * np.asarray(z1, dtype=np.float64) + (1.0 - alpha) * np.asarray(z2, dtype=np.float64)
         seg = phantom.segment_by_intensity(decode(model, z), spec)
@@ -220,29 +205,35 @@ class BetaNormTable:
     overall: dict[str, BetaNormCell]  # diagnosis -> cell
 
 
-def _age_bin(age: float, width: float = 5.0, start: float = 60.0) -> str:
-    idx = int(np.floor((age - start) / width))
-    lo = start + idx * width
-    return f"[{lo:g},{lo + width:g})"
+# Width and one left edge, in years, of the rate-norm table's first-scan-age bins.
+AGE_BIN_WIDTH = 5.0
+AGE_BIN_START = 60.0
+
+
+def _age_bin(age: float) -> str:
+    lo = AGE_BIN_START + int(np.floor((age - AGE_BIN_START) / AGE_BIN_WIDTH)) * AGE_BIN_WIDTH
+    return f"[{lo:g},{lo + AGE_BIN_WIDTH:g})"
+
+
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and standard error of a non-empty sequence; the error of one value is 0."""
+    arr = np.asarray(values, dtype=np.float64)
+    se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return float(arr.mean()), se
 
 
 def _cell(values: list[float]) -> BetaNormCell:
-    arr = np.asarray(values, dtype=np.float64)
-    se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return BetaNormCell(mean=float(arr.mean()), count=len(arr), se=se)
+    mean, se = _mean_se(values)
+    return BetaNormCell(mean=mean, count=len(values), se=se)
 
 
-def beta_norm_analysis(
-    subject_betas: list[tuple[np.ndarray, str, float]],
-    bin_width: float = 5.0,
-    bin_start: float = 60.0,
-) -> BetaNormTable:
-    """Mean L1 norm of beta by diagnosis and 5-year first-scan-age bin."""
+def beta_norm_analysis(subject_betas: list[tuple[np.ndarray, str, float]]) -> BetaNormTable:
+    """Mean L1 norm of beta by diagnosis and first-scan-age bin."""
     by_cell: dict[tuple[str, str], list[float]] = {}
     by_diag: dict[str, list[float]] = {}
     for beta, diagnosis, first_age in subject_betas:
         norm = float(np.sum(np.abs(np.asarray(beta, dtype=np.float64))))
-        label = _age_bin(first_age, bin_width, bin_start)
+        label = _age_bin(first_age)
         by_cell.setdefault((diagnosis, label), []).append(norm)
         by_diag.setdefault(diagnosis, []).append(norm)
     return BetaNormTable(
@@ -334,7 +325,7 @@ LAG_YEARS = (1.0, 2.0, 3.0)
 MIN_SPAN_YEARS = 6.0
 
 
-def multiscan_curve(ages: dict[str, np.ndarray]) -> list[Case]:
+def multiscan_curve(ages: dict[str, np.ndarray], sources) -> list[Case]:
     """Forecasts as intermediate scans are added to the belief.
 
     Protocol per eligible subject (scan span >= MIN_SPAN_YEARS): the scan
@@ -343,8 +334,10 @@ def multiscan_curve(ages: dict[str, np.ndarray]) -> list[Case]:
     the scans nearest first + 1, 2, ... years, with the likelihood anchored
     at the first scan (the global prior's one conditioning scan).  Regression
     fits the first scan, the lag scans and the anchor.  Targets are all scans
-    after the anchor.  ``ages`` maps each subject id to its scan ages;
-    ValueError if no subject is eligible.
+    after the anchor.  Only the cases of ``sources`` are listed, in the
+    protocol's order; gaussian_net and diffusion have none.  ``ages`` maps
+    each subject id to its scan ages; with no eligible subject the list is
+    empty.
     """
     cases: list[Case] = []
     for sid, a in ages.items():
@@ -364,9 +357,8 @@ def multiscan_curve(ages: dict[str, np.ndarray]) -> list[Case]:
             Case(MULTISCAN, sid, target, source, n, conditioning, anchor)
             for target in range(anchor + 1, n_scans)
             for source, n, conditioning in beliefs
+            if source in sources
         ]
-    if not cases:
-        raise ValueError("no eligible subjects (need scans spanning the protocol years)")
     return cases
 
 
@@ -377,13 +369,12 @@ def summarize_rows(rows: list[MetricsRow]) -> dict:
         groups.setdefault((row.source, row.n_conditioning_scans), []).append(row)
     summary = {}
     for (source, n), members in sorted(groups.items()):
-        overall = np.array([np.mean(list(r.mae.values())) for r in members])
+        mean, se = _mean_se([np.mean(list(r.mae.values())) for r in members])
         per_region: dict[str, float] = {}
         for name in members[0].mae:
             per_region[name] = float(np.mean([r.mae[name] for r in members]))
-        se = float(overall.std(ddof=1) / np.sqrt(len(overall))) if len(overall) > 1 else 0.0
         summary[f"{source}/n={n}"] = {
-            "mean_mae": float(overall.mean()),
+            "mean_mae": mean,
             "se_mae": se,
             "per_region_mae": per_region,
             "mean_ssim": float(np.mean([r.ssim for r in members])),

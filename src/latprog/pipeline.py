@@ -41,11 +41,14 @@ from .progression import (
     resolve_beta,
 )
 from .stages import (
+    BETAS,
     FORECASTS,
     GLOBAL_PRIOR_SOURCES,
     LATENTS,
     MANIFEST,
+    MODEL,
     PREDICTIONS,
+    PRIOR_FILES,
     STAGES,
     VOLUMES,
     producer,
@@ -181,21 +184,23 @@ def stage_train_ae(cfg: RunConfig, out: Path) -> None:
 
     cohort = load_cohort(out / "cohort", split="train")
     model = train_autoencoder(cohort.volumes(), cfg.autoencoder)
-    save_model(model, out / "ae" / "model.mrxt", out / "ae" / "model.json")
+    save_model(model, *(out / rel for rel in MODEL))
 
 
 def _load_model(out: Path):
-    return load_model(out / "ae" / "model.mrxt", out / "ae" / "model.json")
+    return load_model(*(out / rel for rel in MODEL))
 
 
-def _latent_sequences(out: Path, split=None) -> list[LatentSequence]:
+def _latent_sequences(out: Path, split=None, subjects=None) -> list[LatentSequence]:
     """Encoded latents of each subject's scans, at the manifest's ages, by subject id.
 
-    A latents container whose keys are not exactly the manifest's
+    ``subjects`` are the manifest's, if the caller has read them.  A latents
+    container whose keys are not exactly the manifest's
     ``<subject_id>/<scan index>`` set was encoded from another cohort:
     MissingDependencyError names encode.
     """
-    subjects = load_subjects(out / "cohort")
+    if subjects is None:
+        subjects = load_subjects(out / "cohort")
     tensors = read_tensors(out / LATENTS)
     scans = {f"{s.subject_id}/{i}" for s in subjects for i in range(len(s.scans))}
     if tensors.keys() != scans:
@@ -242,15 +247,30 @@ def stage_fit_betas(cfg: RunConfig, out: Path) -> None:
     }
     if not betas:
         raise ValueError("no subject has two or more scans")
-    write_tensors(out / "betas" / "betas.mrxt", betas)
+    write_tensors(out / BETAS, betas)
+
+
+def _load_betas(out: Path, subjects) -> dict:
+    """fit-betas' stored rates by subject id.
+
+    Rates of other subjects than the manifest's ``subjects`` with two or more
+    scans were fit on another cohort: MissingDependencyError names fit-betas.
+    """
+    stored = read_tensors(out / BETAS)
+    rated = {s.subject_id for s in subjects if len(s.scans) >= 2}
+    if stored.keys() != rated:
+        raise MissingDependencyError(
+            producer(BETAS), f"{BETAS} was fit on another cohort: its {len(stored)} "
+            f"rates are not those of the {len(rated)} subjects of {MANIFEST} with two or more scans"
+        )
+    return stored
 
 
 def _load_train_set(out: Path):
-    """Train-split sequences of the subjects fit-betas rated, and their stored rates."""
-    stored = read_tensors(out / "betas" / "betas.mrxt")
-    sequences = [
-        s for s in _latent_sequences(out, split="train") if s.subject_id in stored
-    ]
+    """Train-split sequences of the subjects with two or more scans, and their stored rates."""
+    subjects = load_subjects(out / "cohort")
+    stored = _load_betas(out, subjects)
+    sequences = [s for s in _latent_sequences(out, "train", subjects) if len(s.ages) >= 2]
     return sequences, {s.subject_id: stored[s.subject_id].astype(np.float64) for s in sequences}
 
 
@@ -258,22 +278,19 @@ def stage_fit_global_prior(cfg: RunConfig, out: Path) -> None:
     sequences, betas = _load_train_set(out)
     prior = build_global_prior(build_triplets(sequences, betas).betas)
     noise = estimate_obs_noise(sequences, betas)
-    write_tensors(out / "priors" / "global.mrxt", {"mean": prior.mean, "variance": prior.variance})
-    write_tensors(out / "priors" / "obs_noise.mrxt", {"variance": noise.variance})
+    prior_path, noise_path = PRIOR_FILES["global_prior"]
+    write_tensors(out / prior_path, {"mean": prior.mean, "variance": prior.variance})
+    write_tensors(out / noise_path, {"variance": noise.variance})
 
 
 def stage_fit_gaussian_prior(cfg: RunConfig, out: Path) -> None:
     net = train_gaussian_prior(build_triplets(*_load_train_set(out)), cfg.gaussian_prior)
-    save_gaussian_prior(
-        net, out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
-    )
+    save_gaussian_prior(net, *(out / rel for rel in PRIOR_FILES["gaussian_net"]))
 
 
 def stage_fit_diffusion_prior(cfg: RunConfig, out: Path) -> None:
     denoiser = train_diffusion_prior(build_triplets(*_load_train_set(out)), cfg.diffusion)
-    save_denoiser(
-        denoiser, out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
-    )
+    save_denoiser(denoiser, *(out / rel for rel in PRIOR_FILES["diffusion"]))
 
 
 def _load_beliefs(out: Path, cfg: RunConfig) -> dict:
@@ -281,32 +298,24 @@ def _load_beliefs(out: Path, cfg: RunConfig) -> dict:
     sources = cfg.evaluation.predict_sources
     kwargs: dict = {"k_samples": cfg.diffusion.k_samples}
     if set(GLOBAL_PRIOR_SOURCES) & set(sources):
-        kwargs["global_prior"] = GaussianBelief(**read_tensors(out / "priors" / "global.mrxt"))
-        noise = read_tensors(out / "priors" / "obs_noise.mrxt")["variance"]
+        prior_path, noise_path = PRIOR_FILES["global_prior"]
+        kwargs["global_prior"] = GaussianBelief(**read_tensors(out / prior_path))
+        noise = read_tensors(out / noise_path)["variance"]
         kwargs["obs_noise"] = ObservationNoise(variance=noise.astype(np.float64))
     if "gaussian_net" in sources:
         kwargs["gaussian_net"] = load_gaussian_prior(
-            out / "priors" / "gaussian_net.mrxt", out / "priors" / "gaussian_net.json"
+            *(out / rel for rel in PRIOR_FILES["gaussian_net"])
         )
     if "diffusion" in sources:
-        kwargs["denoiser"] = load_denoiser(
-            out / "priors" / "diffusion.mrxt", out / "priors" / "diffusion.json"
-        )
+        kwargs["denoiser"] = load_denoiser(*(out / rel for rel in PRIOR_FILES["diffusion"]))
     return kwargs
 
 
 def _cases(cfg: RunConfig, sequences) -> list[evaluation.Case]:
-    """The subjects' last-scan cases for the configured sources, then, when a
-    population-prior source is configured, their multi-scan cases."""
+    """The subjects' last-scan cases, then their multi-scan cases, for the configured sources."""
     sources = cfg.evaluation.predict_sources
     ages = {seq.subject_id: seq.ages for seq in sequences}
-    cases = evaluation.last_scan(ages, sources)
-    if set(GLOBAL_PRIOR_SOURCES) & set(sources):
-        try:
-            cases += evaluation.multiscan_curve(ages)
-        except ValueError:
-            pass  # no subject spans the protocol
-    return cases
+    return evaluation.last_scan(ages, sources) + evaluation.multiscan_curve(ages, sources)
 
 
 def stage_predict(cfg: RunConfig, out: Path) -> None:
@@ -380,7 +389,7 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
         write_metrics_csv(rows[evaluation.MULTISCAN], out / "metrics" / "multiscan.csv", region_names)
         summary["multiscan"] = evaluation.summarize_rows(rows[evaluation.MULTISCAN])
         outputs.append("metrics/multiscan.csv")
-    elif set(GLOBAL_PRIOR_SOURCES) & set(cfg.evaluation.predict_sources):
+    else:
         summary["multiscan"] = "skipped: no eligible subjects"
 
     # between the last and first latents of the first test subject with two scans
@@ -429,8 +438,8 @@ def stage_evaluate(cfg: RunConfig, out: Path) -> list[str]:
 
 
 def stage_analyze_beta(cfg: RunConfig, out: Path) -> None:
-    beta_tensors = read_tensors(out / "betas" / "betas.mrxt")
     subjects = {s.subject_id: s for s in load_subjects(out / "cohort")}
+    beta_tensors = _load_betas(out, subjects.values())
     entries = [
         (beta_tensors[sid], subjects[sid].diagnosis, min(subjects[sid].ages()))
         for sid in sorted(beta_tensors)

@@ -26,8 +26,7 @@ BETAS = "betas/betas.mrxt"
 PREDICTIONS = "predictions/predictions.json"
 FORECASTS = "predictions/forecasts.mrxt"
 
-# Belief sources that use the population prior; predict forecasts the
-# multi-scan protocol's cases when one of them is configured.
+# Belief sources that use the population prior: both read the global prior's files.
 GLOBAL_PRIOR_SOURCES = ("global_prior", "posterior")
 
 # Prior files each belief source reads; regression reads none.

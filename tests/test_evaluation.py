@@ -11,6 +11,7 @@ import oracles
 from latprog import phantom
 from latprog.autoencoder import AEConfig, decode, init_model
 from latprog.evaluation import (
+    N_ALPHAS,
     BetaNormTable,
     MetricsRow,
     RegionVolumes,
@@ -21,12 +22,12 @@ from latprog.evaluation import (
     latent_collinearity,
     mae_tbv,
     multiscan_curve,
-    pca_project,
     region_volumes,
     score_forecasts,
     summarize_rows,
     write_metrics_csv,
 )
+from latprog.progression import BELIEF_SOURCES
 
 
 # -------------------------------------------------------------- region counts
@@ -185,58 +186,32 @@ def test_dice_equals_mask_oracle(seed, n_labels, agree, as_float):
     assert generalized_dice(a, b) == oracles.dice_masks(a, b)
 
 
-# ---------------------------------------------------------------------- pca
+# ------------------------------------------------------------- collinearity
 
 
 def test_pca_line_explains_everything():
     t = np.linspace(-2.0, 3.0, 7)
     d = np.array([1.0, -2.0, 0.5])
-    res = pca_project([ti * d for ti in t], n_components=2)
-    assert res.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-9)
-    assert res.explained_variance_ratio[1] == pytest.approx(0.0, abs=1e-9)
+    assert latent_collinearity([ti * d for ti in t]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pca_matches_eigensolver():
     rng = np.random.default_rng(5)
     pts = rng.normal(0.0, 1.0, (50, 256)) * np.linspace(0.2, 3.0, 256)
-    res = pca_project(pts, n_components=2)
 
     centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / pts.shape[0]
-    w, v = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1][:2]
-    np.testing.assert_allclose(
-        res.explained_variance_ratio, w[order] / w.sum(), rtol=1e-9
-    )
-    for comp, idx in zip(res.components, order):
-        assert abs(float(comp @ v[:, idx])) == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(
-            np.abs(res.projections[:, 0] if idx == order[0] else res.projections[:, 1]),
-            np.abs(centered @ v[:, idx]),
-            atol=1e-6,
-        )
+    w = np.linalg.eigvalsh(centered.T @ centered / pts.shape[0])
+    assert latent_collinearity(list(pts)) == pytest.approx(w[-1] / w.sum(), rel=1e-9)
 
 
 def test_pca_square_corners_split_evenly():
     pts = [np.array([x, y, 0.0]) for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
-    res = pca_project(pts, n_components=2)
-    np.testing.assert_allclose(res.explained_variance_ratio, [0.5, 0.5], atol=1e-12)
-
-
-def test_pca_sign_convention():
-    # first nonzero coordinate of each component is positive
-    d = np.array([-2.0, 0.0, 1.0])
-    res = pca_project([t * d for t in np.linspace(0.0, 1.0, 5)], n_components=1)
-    comp = res.components[0]
-    assert comp[0] > 0
-    np.testing.assert_allclose(comp, -d / np.linalg.norm(d), atol=1e-12)
+    assert latent_collinearity(pts) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pca_degenerate_inputs():
-    with pytest.raises(ValueError, match="at least two"):
-        pca_project([np.zeros(3)])
     with pytest.raises(ValueError, match="degenerate"):
-        pca_project([np.ones(3), np.ones(3), np.ones(3)])
+        latent_collinearity([np.ones(3), np.ones(3), np.ones(3)])
 
 
 def test_collinearity_exact_line():
@@ -256,12 +231,13 @@ def test_collinearity_needs_three_scans():
 
 def test_interpolation_constant_series_convention(tiny_model, spec32):
     z = np.random.default_rng(3).normal(0.0, 1.0, tiny_model.n_latent)
-    report = interpolation_linearity(tiny_model, z, z, spec32, n_alphas=5)
-    np.testing.assert_allclose(report.alphas, np.linspace(0.0, 1.0, 5))
+    report = interpolation_linearity(tiny_model, z, z, spec32)
+    np.testing.assert_allclose(report.alphas, np.linspace(0.0, 1.0, N_ALPHAS))
     for name in report.r2:
         assert report.r2[name] == 1.0
-        assert report.max_chord_dev[name] == 0.0
-        assert report.counts[name].shape == (5,)
+        # the chord at the interior alphas rounds, 11 points: 3.6e-15 voxels
+        assert report.max_chord_dev[name] == pytest.approx(0.0, abs=1e-9)
+        assert report.counts[name].shape == (N_ALPHAS,)
     assert set(report.r2) == {r.name for r in spec32.regions}
 
 
@@ -269,7 +245,7 @@ def test_interpolation_endpoints_match_direct_decode(tiny_model, spec32):
     rng = np.random.default_rng(8)
     z1 = rng.normal(0.0, 1.0, tiny_model.n_latent)
     z2 = rng.normal(0.0, 1.0, tiny_model.n_latent)
-    report = interpolation_linearity(tiny_model, z1, z2, spec32, n_alphas=3)
+    report = interpolation_linearity(tiny_model, z1, z2, spec32)
     # alpha = 0 decodes z2, alpha = 1 decodes z1
     for z, pos in ((z2, 0), (z1, -1)):
         seg = phantom.segment_by_intensity(decode(tiny_model, z), spec32)
@@ -307,11 +283,6 @@ def test_beta_norm_hand_stats():
     assert table.cells[("healthy", "[70,75)")].count == 1
     assert table.overall["dementia"].mean == pytest.approx(2.0)
     assert oracles.bin_labels(table) == ["[60,65)", "[70,75)"]
-
-
-def test_beta_norm_custom_bins():
-    table = beta_norm_analysis([(np.ones(1), "healthy", 70.0)], bin_width=10.0)
-    assert oracles.bin_labels(table) == ["[70,80)"]
 
 
 # ----------------------------------------------------------------- summaries
@@ -384,7 +355,7 @@ def _ages(cohort):
 
 
 def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
-    cases = multiscan_curve(_ages(protocol_cohort))
+    cases = multiscan_curve(_ages(protocol_cohort), BELIEF_SOURCES)
     # the all-zero model decodes every latent to one volume
     volume = decode(flat_model, np.zeros(flat_model.n_latent))
     rows = []
@@ -416,7 +387,7 @@ def test_multiscan_curve_row_structure(protocol_cohort, flat_model):
 def test_multiscan_cases_name_the_protocol_scans(protocol_cohort):
     """Lags 1-3 are scans 1-3, the anchor scan 4; the posterior anchors its
     likelihood at scan 0 and regression fits scans 0-4."""
-    cases = multiscan_curve(_ages(protocol_cohort))
+    cases = multiscan_curve(_ages(protocol_cohort), BELIEF_SOURCES)
     sid = protocol_cohort.subjects[0].subject_id
     assert [(c.target, c.source, c.n, c.conditioning, c.anchor)
             for c in cases if c.subject_id == sid and c.target == 5] == [
@@ -444,5 +415,16 @@ def test_multiscan_curve_requires_eligible_subjects(spec32):
     short = phantom.generate_cohort(
         spec32, 3, scans_per_subject=(2, 3), age_spacing=(0.8, 1.0), seed=2
     )
-    with pytest.raises(ValueError, match="no eligible subjects"):
-        multiscan_curve(_ages(short))
+    assert multiscan_curve(_ages(short), BELIEF_SOURCES) == []
+
+
+def test_multiscan_curve_lists_only_the_configured_sources(protocol_cohort):
+    """The protocol's beliefs are the global prior, the posterior and
+    regression; each source lists its own cases, in the protocol's order."""
+    ages = _ages(protocol_cohort)
+    every = multiscan_curve(ages, BELIEF_SOURCES)
+    assert multiscan_curve(ages, ["posterior"]) == [c for c in every if c.source == "posterior"]
+    assert multiscan_curve(ages, ["regression", "global_prior"]) == [
+        c for c in every if c.source in ("global_prior", "regression")
+    ]
+    assert multiscan_curve(ages, ["gaussian_net", "diffusion"]) == []

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import resource
@@ -28,7 +29,7 @@ from latprog.progression import (
     posterior_update,
     resolve_beta,
 )
-from latprog.stages import FORECASTS, PREDICTIONS, STAGES
+from latprog.stages import BETAS, FORECASTS, MODEL, PREDICTIONS, PRIOR_FILES, STAGES
 from latprog.tensorfile import read_tensors, write_tensors
 
 MINI_CONFIG = {
@@ -311,6 +312,38 @@ def test_latents_of_another_cohort_are_refused(tmp_path, capsys):
         assert rc == 1, stage
         assert len(lines) == 1, stage
         assert lines[0].startswith("error: missing dependency: run stage 'encode' first"), stage
+
+
+def test_rates_of_another_cohort_are_refused(tmp_path, capsys):
+    """Rates fit before the cohort was regenerated with fewer subjects are a
+    one-line error naming fit-betas, for analyze-beta and the prior fits alike."""
+    config = {"cohort": {"n_subjects": 6, "scans_per_subject": [3, 4]}, "autoencoder": {"epochs": 0}}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+
+    def run(stage):
+        return main([stage, "--config", str(cfg_path), "--out", str(out)])
+
+    for stage in ("generate-cohort", "train-ae", "encode", "fit-betas"):
+        assert run(stage) == 0, stage
+    cfg_path.write_text(json.dumps({**config, "cohort": {**config["cohort"], "n_subjects": 4}}))
+    assert run("generate-cohort") == 0
+    capsys.readouterr()
+
+    for stage in ("analyze-beta", "fit-global-prior"):
+        rc = run(stage)
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 1, stage
+        assert len(lines) == 1, stage
+        assert lines[0].startswith("error: missing dependency: run stage 'fit-betas' first"), stage
+
+
+def test_pipeline_takes_the_stage_files_from_the_stage_table():
+    """pipeline.py names the model, rate and prior files only through stages.py."""
+    source = inspect.getsource(pipeline)
+    for rel in (*MODEL, BETAS, *(rel for files in PRIOR_FILES.values() for rel in files)):
+        assert rel.rsplit("/", 1)[1] not in source, rel
 
 
 @pytest.mark.parametrize("change", ["missing", "extra"])
@@ -756,6 +789,8 @@ REMOVED_KEYS = [
     ({"diffusion": {"beta_start": 0.0}}, "error: unknown config key: diffusion.beta_start"),
     ({"diffusion": {"beta_start": 0.05}}, "error: unknown config key: diffusion.beta_start"),
     ({"diffusion": {"timesteps": 0}}, "error: diffusion.timesteps must be at least 1, got 0"),
+    ({"diffusion": {"timesteps": 100000}},
+     "error: diffusion.timesteps: invalid schedule: at 100000 steps alpha_bars does not"),
     ({"evaluation": {"predict_sources": ["global_prior", "oracle"]}},
      "error: evaluation.predict_sources: 'oracle' is not one of"),
     ({"cohort": {"baseline_age_range": [40, 50]}},
@@ -780,7 +815,7 @@ REMOVED_KEYS = [
 ], ids=["wrong-type", "grid-16", "noise-0.1", "negative-noise", "grid-16-noise-0.1",
         "mlp", "init-kaiming", "even-window", "window-1", "window-above-grid", "odd-embed-width",
         "negative-embed-width", "beta-end-1.5", "beta-start-0", "beta-start-above-end",
-        "zero-timesteps", "unknown-source", "baseline-below-age-min",
+        "zero-timesteps", "timesteps-past-strict-decrease", "unknown-source", "baseline-below-age-min",
         "oldest-scan-past-age-max", "scans-low-above-high", "zero-scans", "negative-spacing",
         "split-above-one", "mix-below-one", "mix-unknown-diagnosis",
         *(f"removed-{section}.{key}" for section, key, _ in REMOVED_KEYS)])
